@@ -11,6 +11,13 @@ class CipherToolkitError(Exception):
     """Base class for all toolkit errors."""
 
 
+def _render_int(value: int) -> str:
+    # int -> str is quadratic and refused past 4300 digits, so a message
+    # states the bit length of anything wider than 64 bits instead
+    bits = value.bit_length()
+    return str(value) if bits <= 64 else f"<{bits}-bit integer>"
+
+
 class NonAlphabetCharacter(CipherToolkitError):
     """A character outside 'A'..'Z' where a letter was required."""
 
@@ -25,7 +32,7 @@ class ValueOutOfRange(CipherToolkitError):
 
     def __init__(self, value: int, where: str = "value"):
         self.value = value
-        super().__init__(f"{where} {value} outside 1..26")
+        super().__init__(f"{where} {_render_int(value)} outside 1..26")
 
 
 class NegativeArgument(CipherToolkitError):
@@ -54,7 +61,10 @@ class NotDivisible(CipherToolkitError):
         self.position = position
         self.value = value
         self.divisor = divisor
-        super().__init__(f"coefficient {value} at position {position} is not divisible by {divisor}")
+        super().__init__(
+            f"coefficient {_render_int(value)} at position {position} "
+            f"is not divisible by {_render_int(divisor)}"
+        )
 
 
 class ExactnessBoundExceeded(CipherToolkitError):

@@ -163,6 +163,24 @@ def test_decrypt_corrupted_quotient_out_of_range():
         decrypt(CipherText((24,)), CipherKey(4, (24,)))
 
 
+def test_errors_render_wide_integers_as_bit_lengths():
+    with pytest.raises(NotDivisible) as exc_info:
+        decrypt(CipherText.from_letters("JBHDN"), CipherKey(4, (7, 23, 332, 2326, 23260)))
+    assert str(exc_info.value) == "coefficient 604774 at position 5 is not divisible by 40320"
+    # 2000! has 5736 digits, past the 4300-digit int -> str limit
+    with pytest.raises(NotDivisible) as exc_info:
+        decrypt(CipherText.from_letters("JBHDN"), CipherKey(2000, (7, 23, 332, 2326, 23261)))
+    assert exc_info.value.divisor == factorial(2000)
+    assert f"by <{factorial(2000).bit_length()}-bit integer>" in str(exc_info.value)
+    coefficient = 10**4299 * 26 + 1
+    with pytest.raises(ValueOutOfRange) as exc_info:
+        decrypt(CipherText((1,)), CipherKey(1, (10**4299,)))
+    assert exc_info.value.value == coefficient
+    assert str(exc_info.value) == (
+        f"recovered value at position 1 <{coefficient.bit_length()}-bit integer> outside 1..26"
+    )
+
+
 def test_cipher_key_validation():
     with pytest.raises(InvalidParameter):
         CipherKey(0, ())

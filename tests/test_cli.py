@@ -142,6 +142,34 @@ def test_decrypt_corrupted_key(workdir):
     assert not (workdir / "pt.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "key_bytes, letters",
+    [
+        (EXAMPLE_KEY_BYTES.replace(b"s=4", b"s=2000"), b"JBHDN\n"),  # divisor 2000!
+        (b"MELLIN-KEY-V1\ns=1\nn=1\nq1=1" + b"0" * 4299 + b"\n", b"A\n"),  # value > 10^4300
+    ],
+    ids=["not-divisible", "out-of-range"],
+)
+def test_decrypt_wide_integer_is_data_error(workdir, capsys, key_bytes, letters):
+    (workdir / "key.mk").write_bytes(key_bytes)
+    (workdir / "ct.txt").write_bytes(letters)
+    code = main(
+        [
+            "decrypt",
+            "--key",
+            str(workdir / "key.mk"),
+            "--in",
+            str(workdir / "ct.txt"),
+            "--out",
+            str(workdir / "pt.txt"),
+        ]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "-bit integer>" in err
+
+
 def test_decrypt_malformed_key_file(workdir):
     run_encrypt(workdir)
     (workdir / "key.mk").write_bytes(b"NOT-A-KEY\n")
@@ -200,6 +228,31 @@ def test_recover_s_worked_example(workdir, capsys):
     assert code == EXIT_OK
     lines = capsys.readouterr().out.split()
     assert "4" in lines
+
+
+def test_recover_s_rejects_wide_integers(workdir, capsys):
+    run_encrypt(workdir)
+    # rejecting s up to 2000 builds NotDivisible errors around divisors up to 2000!
+    code = main(
+        [
+            "recover-s",
+            "--in",
+            str(workdir / "ct.txt"),
+            "--quotients",
+            "7,23,332,2326,23261",
+            "--max-s",
+            "2000",
+        ]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "4\n"
+    # a 4300-digit quotient recovers a value far outside 1..26
+    (workdir / "a.txt").write_bytes(b"A\n")
+    code = main(
+        ["recover-s", "--in", str(workdir / "a.txt"), "--quotients", "1" + "0" * 4299, "--max-s", "1"]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == ""
 
 
 def test_recover_s_empty(workdir, capsys):

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mellin_cipher
 from mellin_cipher.errors import ExactnessBoundExceeded, InvalidParameter, InvalidScale
 from mellin_cipher.oracle import (
     DEFAULT_EXACTNESS_BOUND,
@@ -101,7 +106,7 @@ def test_scaling_check_closed_forms():
 
 
 def test_scaling_check_grid():
-    for a in (0.5, 1.0, 2.0, 4.0):
+    for a in (1e-3, 0.5, 1.0, 2.0, 4.0, 1e3):
         for n in range(1, 7):
             for s in range(1, 7):
                 assert scaling_check(a, n, s, 1e-8)
@@ -112,6 +117,23 @@ def test_scaling_check_rejects_bad_scale():
         scaling_check(0.0, 1, 1, 1e-8)
     with pytest.raises(InvalidScale):
         scaling_check(-2.0, 1, 1, 1e-8)
+
+
+def test_import_loads_numpy_alone():
+    # numpy is the package's only runtime dependency; a fresh import loads no other package
+    src = str(Path(mellin_cipher.__file__).resolve().parents[1])
+    probe = (
+        "import sys; before = set(sys.modules); import mellin_cipher; "
+        "print(*{m.split('.')[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert set(result.stdout.split()) <= {"mellin_cipher", "numpy"}
 
 
 def test_shift_check_known():
