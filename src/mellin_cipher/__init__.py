@@ -9,14 +9,13 @@ key file format, and a key-recovery scan demonstrating that the quotients
 leak s. Not secure; see README.
 """
 
-from .alphabet import char_to_value, decode_values, encode_text, value_to_char
+from .alphabet import decode_values, encode_text
 from .cipher import (
     CipherKey,
     CipherText,
     decrypt,
     encrypt,
     exponent_schedule,
-    factorial,
     recover_s,
     split_mod26,
     transform_coefficients,
@@ -36,13 +35,11 @@ __all__ = [
     "CipherKey",
     "CipherText",
     "OracleResult",
-    "char_to_value",
     "decode_values",
     "decrypt",
     "encode_text",
     "encrypt",
     "exponent_schedule",
-    "factorial",
     "gamma_identity_check",
     "numeric_mellin",
     "read_ciphertext",
@@ -52,7 +49,6 @@ __all__ = [
     "shift_check",
     "split_mod26",
     "transform_coefficients",
-    "value_to_char",
     "write_ciphertext",
     "write_key",
 ]

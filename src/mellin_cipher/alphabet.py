@@ -16,20 +16,6 @@ ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _A = ord("A")
 
 
-def char_to_value(c: str) -> int:
-    """Return the 1-based alphabet position of one uppercase letter."""
-    if len(c) != 1 or not ("A" <= c <= "Z"):
-        raise NonAlphabetCharacter(c, 0)
-    return ord(c) - _A + 1
-
-
-def value_to_char(v: int) -> str:
-    """Inverse of :func:`char_to_value`: 1 -> 'A', ..., 26 -> 'Z'."""
-    if not 1 <= v <= 26:
-        raise ValueOutOfRange(v, "letter value")
-    return chr(_A + v - 1)
-
-
 def encode_text(text: str, fold_case: bool = True) -> list[int]:
     """Map a string to its letter values, preserving order and length.
 

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .alphabet import decode_values, encode_text
 from .errors import (
     InvalidParameter,
     LengthMismatch,
-    NegativeArgument,
     NonPositiveInput,
     NotDivisible,
     ValueOutOfRange,
@@ -74,13 +73,6 @@ class CipherKey:
         return len(self.quotients)
 
 
-def factorial(k: int) -> int:
-    """Exact k! as an arbitrary-precision integer, with 0! = 1."""
-    if k < 0:
-        raise NegativeArgument(f"factorial of negative integer {k}")
-    return math.factorial(k)
-
-
 def exponent_schedule(s: int, n: int) -> list[int]:
     """First n factorial arguments for secret parameter s.
 
@@ -95,14 +87,33 @@ def exponent_schedule(s: int, n: int) -> list[int]:
     return [s + (i % period) for i in range(n)]
 
 
+def _schedule_factorials(s: int, n: int) -> Iterator[int]:
+    """Lazily yield e! for each exponent e of ``exponent_schedule(s, n)``.
+
+    The schedule takes at most s+1 distinct exponents, first in increasing
+    order, so each factorial is computed once: s! directly, every later one
+    from its predecessor. A slot is filled only when a position first
+    reaches it, so a caller that stops early (a corrupted key, say) has paid
+    for no factorial beyond that position.
+    """
+    table: list[int] = []
+
+    def factorial_of(exponent: int) -> int:
+        slot = exponent - s
+        if slot == len(table):
+            table.append(table[-1] * exponent if table else math.factorial(s))
+        return table[slot]
+
+    return map(factorial_of, exponent_schedule(s, n))
+
+
 def transform_coefficients(plain: Sequence[int], s: int) -> list[int]:
     """Scale each letter value by the factorial of its schedule exponent."""
-    exponents = exponent_schedule(s, len(plain))
     coefficients = []
-    for index, (value, exponent) in enumerate(zip(plain, exponents)):
+    for index, (weight, value) in enumerate(zip(_schedule_factorials(s, len(plain)), plain)):
         if not 1 <= value <= MODULUS:
             raise ValueOutOfRange(value, f"plaintext value at index {index}")
-        coefficients.append(value * factorial(exponent))
+        coefficients.append(value * weight)
     return coefficients
 
 
@@ -115,11 +126,8 @@ def split_mod26(n: int) -> tuple[int, int]:
     """
     if n < 1:
         raise NonPositiveInput(f"expected a positive integer, got {n}")
-    quotient, residue = divmod(n, MODULUS)
-    if residue == 0:
-        quotient -= 1
-        residue = MODULUS
-    return quotient, residue
+    quotient, residue = divmod(n - 1, MODULUS)
+    return quotient, residue + 1
 
 
 def encrypt(plaintext: str, s: int, fold_case: bool = True) -> tuple[CipherText, CipherKey]:
@@ -151,13 +159,12 @@ def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
         raise LengthMismatch(
             f"ciphertext has {len(ciphertext)} letters but key has {len(key)} quotients"
         )
-    exponents = exponent_schedule(key.s, len(ciphertext))
     values = []
-    for position, (quotient, residue, exponent) in enumerate(
-        zip(key.quotients, ciphertext.residues, exponents), start=1
+    for position, (divisor, quotient, residue) in enumerate(
+        zip(_schedule_factorials(key.s, len(ciphertext)), key.quotients, ciphertext.residues),
+        start=1,
     ):
         coefficient = quotient * MODULUS + residue
-        divisor = factorial(exponent)
         value, remainder = divmod(coefficient, divisor)
         if remainder != 0:
             raise NotDivisible(position, coefficient, divisor)

@@ -117,10 +117,13 @@ def _cmd_encrypt(args) -> int:
         return EXIT_USAGE
     plaintext = _read_plaintext(args.infile)
     ciphertext, key = encrypt(plaintext, args.s, fold_case=args.fold_case)
+    # serialize both first, so a key that cannot be written leaves no file behind
+    ciphertext_bytes = keyio.write_ciphertext(ciphertext)
+    key_bytes = keyio.write_key(key)
     with open(args.outfile, "wb") as handle:
-        handle.write(keyio.write_ciphertext(ciphertext))
+        handle.write(ciphertext_bytes)
     with open(args.keyfile, "wb") as handle:
-        handle.write(keyio.write_key(key))
+        handle.write(key_bytes)
     return EXIT_OK
 
 

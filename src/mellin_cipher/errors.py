@@ -35,10 +35,6 @@ class ValueOutOfRange(CipherToolkitError):
         super().__init__(f"{where} {_render_int(value)} outside 1..26")
 
 
-class NegativeArgument(CipherToolkitError):
-    """Factorial of a negative integer requested."""
-
-
 class InvalidParameter(CipherToolkitError):
     """A parameter outside its legal domain (e.g. secret parameter s < 1)."""
 

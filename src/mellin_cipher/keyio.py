@@ -10,9 +10,13 @@ Key file format (ASCII, LF line endings, no CR anywhere):
     qn=<decimal quotient>
 
 Integers are canonical decimals: no sign, no leading zeros ("0" itself is
-fine). The count line is redundant with the quotient lines and must match;
-that is the format's only corruption check. A ciphertext file is a single
-line of uppercase letters terminated by LF.
+fine), and no more digits than the interpreter converts between int and
+str (``sys.get_int_max_str_digits()``, 4300 by default). Reader and writer
+share that limit, so every key that can be written can be read back; a
+wider integer raises :class:`KeyFormatError` either way. The count line is
+redundant with the quotient lines and must match; that is the format's only
+corruption check. A ciphertext file is a single line of uppercase letters
+terminated by LF.
 
 Writers are deterministic, readers are exact inverses, and parsing depends
 only on the bytes, never on locale or platform.
@@ -21,12 +25,14 @@ only on the bytes, never on locale or platform.
 from __future__ import annotations
 
 import re
+import sys
 
 from .cipher import CipherKey, CipherText
 from .errors import (
     BadField,
     BadMagic,
     CountMismatch,
+    KeyFormatError,
     NonAlphabetCharacter,
     NonCanonicalInteger,
     TrailingGarbage,
@@ -37,17 +43,27 @@ KEY_MAGIC = "MELLIN-KEY-V1"
 _CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
 
 
+def _too_wide() -> str:
+    return f"more than {sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
+
+
 def write_key(key: CipherKey) -> bytes:
     """Serialize a key to its canonical byte form."""
-    lines = [KEY_MAGIC, f"s={key.s}", f"n={len(key.quotients)}"]
-    lines.extend(f"q{i}={q}" for i, q in enumerate(key.quotients, start=1))
+    try:
+        lines = [KEY_MAGIC, f"s={key.s}", f"n={len(key.quotients)}"]
+        lines.extend(f"q{i}={q}" for i, q in enumerate(key.quotients, start=1))
+    except ValueError:  # int -> str refuses integers past the digit limit
+        raise KeyFormatError(f"cannot write key: an integer has {_too_wide()}") from None
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _parse_int(text: str, line: int) -> int:
     if _CANONICAL_INT.fullmatch(text) is None:
         raise NonCanonicalInteger(line, text)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # str -> int refuses integers past the digit limit
+        raise BadField(line, f"integer has {_too_wide()}") from None
 
 
 def _split_lines(data: bytes, context: str) -> list[str]:

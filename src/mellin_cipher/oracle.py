@@ -29,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .cipher import factorial
 from .errors import ExactnessBoundExceeded, InvalidParameter, InvalidScale
 
 DEFAULT_EXACTNESS_BOUND = 40
@@ -106,7 +105,7 @@ def numeric_mellin(
         raise InvalidParameter(
             f"{node_count} nodes cannot integrate degree {degree} exactly (need >= {minimum})"
         )
-    exact = factorial(degree)
+    exact = math.factorial(degree)
     if log_space:
         log_numeric = _log_moment(degree, node_count)
         relative_error = abs(math.expm1(log_numeric - math.log(exact)))
@@ -161,7 +160,7 @@ def scaling_check(
     nodes, weights = _laguerre_rule(_auto_node_count(degree))
     x = nodes / a
     numeric = float((weights / a) @ ((a * x) ** n * x ** (s - 1)))
-    reference = a ** (-s) * factorial(degree)
+    reference = a ** (-s) * math.factorial(degree)
     return abs(numeric - reference) / reference <= tol
 
 

@@ -1,45 +1,29 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mellin_cipher.alphabet import (
-    ALPHABET,
-    char_to_value,
-    decode_values,
-    encode_text,
-    value_to_char,
-)
+from mellin_cipher.alphabet import ALPHABET, decode_values, encode_text
 from mellin_cipher.errors import NonAlphabetCharacter, ValueOutOfRange
 
 
 def test_char_to_value_known():
-    assert char_to_value("H") == 8
-    assert char_to_value("A") == 1
-    assert char_to_value("Z") == 26
+    assert encode_text("H") == [8]
+    assert encode_text("A") == [1]
+    assert encode_text("Z") == [26]
 
 
 def test_value_to_char_known():
-    assert value_to_char(10) == "J"
-    assert value_to_char(14) == "N"
-    assert value_to_char(1) == "A"
+    assert decode_values([10]) == "J"
+    assert decode_values([14]) == "N"
+    assert decode_values([1]) == "A"
 
 
 def test_bijection():
+    assert encode_text(ALPHABET) == list(range(1, 27))
+    assert decode_values(range(1, 27)) == ALPHABET
     for v in range(1, 27):
-        assert char_to_value(value_to_char(v)) == v
+        assert encode_text(decode_values([v])) == [v]
     for c in ALPHABET:
-        assert value_to_char(char_to_value(c)) == c
-
-
-@pytest.mark.parametrize("bad", ["a", " ", "3", "!", "Ä", "", "AB"])
-def test_char_to_value_rejects(bad):
-    with pytest.raises(NonAlphabetCharacter):
-        char_to_value(bad)
-
-
-@pytest.mark.parametrize("bad", [0, 27, -1, 100])
-def test_value_to_char_rejects(bad):
-    with pytest.raises(ValueOutOfRange):
-        value_to_char(bad)
+        assert decode_values(encode_text(c)) == c
 
 
 def test_encode_text_known():
@@ -52,6 +36,13 @@ def test_encode_text_fold_case():
     assert encode_text("hello") == [8, 5, 12, 12, 15]
     with pytest.raises(NonAlphabetCharacter):
         encode_text("hello", fold_case=False)
+
+
+@pytest.mark.parametrize("bad", ["a", " ", "3", "!", "Ä"])
+def test_encode_text_rejects(bad):
+    with pytest.raises(NonAlphabetCharacter) as exc_info:
+        encode_text("AB" + bad, fold_case=False)
+    assert exc_info.value.index == 2
 
 
 def test_encode_text_reports_position():
@@ -67,6 +58,12 @@ def test_decode_values_known():
     # residues of [48, 120, 1440, 8640, 90] mod 26, fifth letter forced
     # to L by 90 = 3*26 + 12
     assert decode_values([22, 16, 10, 8, 12]) == "VPJHL"
+
+
+@pytest.mark.parametrize("bad", [0, 27, -1, 100])
+def test_decode_values_rejects(bad):
+    with pytest.raises(ValueOutOfRange):
+        decode_values([bad])
 
 
 def test_decode_values_rejects_with_index():

@@ -1,14 +1,15 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mellin_cipher.alphabet import ALPHABET
+from mellin_cipher.alphabet import ALPHABET, decode_values, encode_text
 from mellin_cipher.cipher import (
     CipherKey,
     CipherText,
     decrypt,
     encrypt,
     exponent_schedule,
-    factorial,
     recover_s,
     split_mod26,
     transform_coefficients,
@@ -16,7 +17,6 @@ from mellin_cipher.cipher import (
 from mellin_cipher.errors import (
     InvalidParameter,
     LengthMismatch,
-    NegativeArgument,
     NonPositiveInput,
     NotDivisible,
     ValueOutOfRange,
@@ -24,23 +24,6 @@ from mellin_cipher.errors import (
 
 plaintexts = st.text(alphabet=ALPHABET, max_size=64)
 secret_params = st.integers(min_value=1, max_value=12)
-
-
-def test_factorial_known():
-    assert factorial(4) == 24
-    assert factorial(0) == 1
-    assert factorial(8) == 40320  # 604800 / 15
-
-
-def test_factorial_negative():
-    with pytest.raises(NegativeArgument):
-        factorial(-1)
-
-
-def test_factorial_large_exact():
-    value = factorial(30)
-    assert value == 265252859812191058636308480000000
-    assert value % factorial(29) == 0
 
 
 def test_exponent_schedule_known():
@@ -170,8 +153,8 @@ def test_errors_render_wide_integers_as_bit_lengths():
     # 2000! has 5736 digits, past the 4300-digit int -> str limit
     with pytest.raises(NotDivisible) as exc_info:
         decrypt(CipherText.from_letters("JBHDN"), CipherKey(2000, (7, 23, 332, 2326, 23261)))
-    assert exc_info.value.divisor == factorial(2000)
-    assert f"by <{factorial(2000).bit_length()}-bit integer>" in str(exc_info.value)
+    assert exc_info.value.divisor == math.factorial(2000)
+    assert f"by <{math.factorial(2000).bit_length()}-bit integer>" in str(exc_info.value)
     coefficient = 10**4299 * 26 + 1
     with pytest.raises(ValueOutOfRange) as exc_info:
         decrypt(CipherText((1,)), CipherKey(1, (10**4299,)))
@@ -263,3 +246,117 @@ def test_recover_s_sound_and_complete(plaintext, s):
     for candidate in candidates:
         recovered = decrypt(ciphertext, CipherKey(candidate, key.quotients))
         assert all("A" <= c <= "Z" for c in recovered)
+
+
+@given(st.text(alphabet=ALPHABET, max_size=40), st.integers(13, 60))
+def test_ciphertext_is_all_z_from_s_13(plaintext, s):
+    # 26 = 2 * 13 divides e! for every e >= 13, so every residue is 26
+    ciphertext, _ = encrypt(plaintext, s)
+    assert ciphertext.letters == "Z" * len(plaintext)
+
+
+def test_encrypt_and_decrypt_compute_one_factorial(monkeypatch):
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda k: calls.append(k) or factorial(k))
+    plaintext = ALPHABET * 400
+    ciphertext, key = encrypt(plaintext, 64)
+    assert calls == [64]
+    assert decrypt(ciphertext, key) == plaintext
+    assert calls == [64, 64]
+
+
+# The per-position loop and the full 1..max_s scan that the schedule
+# factorial table and the early stop replaced, kept as references.
+
+
+def _reference_encrypt(plaintext, s):
+    values = encode_text(plaintext)
+    quotients, residues = [], []
+    for value, exponent in zip(values, exponent_schedule(s, len(values))):
+        quotient, residue = divmod(value * math.factorial(exponent), 26)
+        if residue == 0:
+            quotient -= 1
+            residue = 26
+        quotients.append(quotient)
+        residues.append(residue)
+    return CipherText(tuple(residues)), CipherKey(s, tuple(quotients))
+
+
+def _reference_decrypt(ciphertext, key):
+    values = []
+    for position, (quotient, residue, exponent) in enumerate(
+        zip(key.quotients, ciphertext.residues, exponent_schedule(key.s, len(ciphertext))), start=1
+    ):
+        coefficient = quotient * 26 + residue
+        divisor = math.factorial(exponent)
+        value, remainder = divmod(coefficient, divisor)
+        if remainder != 0:
+            raise NotDivisible(position, coefficient, divisor)
+        if not 1 <= value <= 26:
+            raise ValueOutOfRange(value, f"recovered value at position {position}")
+        values.append(value)
+    return decode_values(values)
+
+
+def _reference_recover_s(ciphertext, quotients, max_s):
+    candidates = set()
+    for s in range(1, max_s + 1):
+        try:
+            _reference_decrypt(ciphertext, CipherKey(s, tuple(quotients)))
+        except (NotDivisible, ValueOutOfRange):
+            continue
+        candidates.add(s)
+    return candidates
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except (NotDivisible, ValueOutOfRange) as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+@st.composite
+def tampered(draw):
+    """A ciphertext with its key, some quotients nudged, under a possibly wrong s."""
+    plaintext = draw(st.text(alphabet=ALPHABET, max_size=30))
+    s = draw(st.integers(1, 20))
+    ciphertext, key = encrypt(plaintext, s)
+    quotients = list(key.quotients)
+    for _ in range(draw(st.integers(0, 2))):
+        if quotients:
+            index = draw(st.integers(0, len(quotients) - 1))
+            quotients[index] = max(0, quotients[index] + draw(st.integers(-3, 3)))
+    return ciphertext, CipherKey(draw(st.sampled_from([s, draw(st.integers(1, 25))])), tuple(quotients))
+
+
+@given(st.text(alphabet=ALPHABET, max_size=80), st.integers(1, 40))
+@settings(max_examples=200)
+def test_encrypt_matches_reference(plaintext, s):
+    assert encrypt(plaintext, s) == _reference_encrypt(plaintext, s)
+
+
+@given(tampered())
+@settings(max_examples=300)
+def test_decrypt_matches_reference(case):
+    ciphertext, key = case
+    assert _outcome(decrypt, ciphertext, key) == _outcome(_reference_decrypt, ciphertext, key)
+
+
+@given(tampered(), st.integers(1, 40))
+@settings(max_examples=200)
+def test_recover_s_matches_reference(case, max_s):
+    ciphertext, key = case
+    expected = _reference_recover_s(ciphertext, key.quotients, max_s)
+    assert recover_s(ciphertext, key.quotients, max_s) == expected
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 10**30), st.integers(1, 26)), max_size=6),
+    st.integers(1, 40),
+)
+def test_recover_s_matches_reference_on_arbitrary_pairs(pairs, max_s):
+    ciphertext = CipherText(tuple(residue for _, residue in pairs))
+    quotients = [quotient for quotient, _ in pairs]
+    assert recover_s(ciphertext, quotients, max_s) == _reference_recover_s(ciphertext, quotients, max_s)

@@ -170,6 +170,39 @@ def test_decrypt_wide_integer_is_data_error(workdir, capsys, key_bytes, letters)
     assert "-bit integer>" in err
 
 
+def test_encrypt_key_past_digit_limit_writes_nothing(workdir, capsys, digit_limit):
+    # 2000! has 5736 digits, so every quotient is past the limit
+    assert run_encrypt(workdir, s="2000", extra=("--max-s-param", "3000")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"more than {digit_limit} digits" in err
+    assert not (workdir / "ct.txt").exists()
+    assert not (workdir / "key.mk").exists()
+
+
+@pytest.mark.parametrize("field", [b"s=4", b"q1=7"], ids=["s", "q1"])
+def test_decrypt_key_field_past_digit_limit(workdir, capsys, digit_limit, field):
+    run_encrypt(workdir)
+    wide = field.split(b"=")[0] + b"=1" + b"0" * 5000
+    (workdir / "key.mk").write_bytes(EXAMPLE_KEY_BYTES.replace(field, wide))
+    code = main(
+        [
+            "decrypt",
+            "--key",
+            str(workdir / "key.mk"),
+            "--in",
+            str(workdir / "ct.txt"),
+            "--out",
+            str(workdir / "pt.txt"),
+        ]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"more than {digit_limit} digits" in err
+    assert not (workdir / "pt.txt").exists()
+
+
 def test_decrypt_malformed_key_file(workdir):
     run_encrypt(workdir)
     (workdir / "key.mk").write_bytes(b"NOT-A-KEY\n")

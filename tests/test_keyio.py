@@ -6,6 +6,7 @@ from mellin_cipher.errors import (
     BadField,
     BadMagic,
     CountMismatch,
+    KeyFormatError,
     NonAlphabetCharacter,
     NonCanonicalInteger,
     TrailingGarbage,
@@ -76,6 +77,39 @@ def test_read_key_bad_field():
         read_key(b"MELLIN-KEY-V1\ns=0\nn=0\n")
     with pytest.raises(BadField):
         read_key(b"MELLIN-KEY-V1\ns=4\n")  # n line missing
+
+
+@pytest.mark.parametrize("field, line", [("s", 2), ("q1", 4)])
+def test_read_key_rejects_integer_past_digit_limit(digit_limit, field, line):
+    wide = "1" + "0" * digit_limit
+    fields = {"s": "4", "q1": "7", field: wide}
+    data = f"MELLIN-KEY-V1\ns={fields['s']}\nn=1\nq1={fields['q1']}\n".encode()
+    with pytest.raises(BadField) as exc_info:
+        read_key(data)
+    assert exc_info.value.line == line
+    assert f"more than {digit_limit} digits" in str(exc_info.value)
+
+
+def test_write_key_rejects_integer_past_digit_limit(digit_limit):
+    with pytest.raises(KeyFormatError, match=f"more than {digit_limit} digits"):
+        write_key(CipherKey(4, (7, 10**digit_limit)))
+    with pytest.raises(KeyFormatError):
+        write_key(CipherKey(10**digit_limit, ()))
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_reader_and_writer_share_digit_limit(digit_limit, over):
+    digits = digit_limit + over
+    key = CipherKey(1, (10 ** (digits - 1),))
+    data = b"MELLIN-KEY-V1\ns=1\nn=1\nq1=1" + b"0" * (digits - 1) + b"\n"
+    if digits <= digit_limit:
+        assert write_key(key) == data
+        assert read_key(data) == key
+    else:
+        with pytest.raises(KeyFormatError):
+            write_key(key)
+        with pytest.raises(KeyFormatError):
+            read_key(data)
 
 
 def test_read_key_rejects_cr():
