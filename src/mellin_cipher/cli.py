@@ -9,6 +9,10 @@ named files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import os
+import stat
 import sys
 from typing import Sequence
 
@@ -38,11 +42,14 @@ def _nonneg_int_list(text: str) -> list[int]:
     if text == "":
         return []
     values = []
-    for token in text.split(","):
+    for index, token in enumerate(text.split(","), start=1):
         token = token.strip()
         if not (token.isascii() and token.isdigit()):
             raise argparse.ArgumentTypeError(f"bad quotient {token!r}: expected a decimal >= 0")
-        values.append(int(token))
+        try:
+            values.append(int(token))
+        except ValueError:  # str -> int refuses integers past the digit limit
+            raise argparse.ArgumentTypeError(f"quotient {index} has {keyio._too_wide()}") from None
     return values
 
 
@@ -104,6 +111,37 @@ def _read_plaintext(path: str) -> str:
     return data.decode("ascii")
 
 
+def _write_all_or_none(outputs: list[tuple[str, bytes]]) -> None:
+    """Write each (path, data) pair in order, or leave every path as it was.
+
+    Each payload goes to a fresh temp file beside its target, and the targets
+    are replaced only after every temp file is written. A new file gets the
+    mode ``open`` would give it; an existing one keeps its mode.
+    """
+    temps: list[str] = []
+    try:
+        for path, data in outputs:
+            if os.path.isdir(path):  # os.replace would fail only after earlier targets moved
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            head, tail = os.path.split(path)
+            temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+            try:
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:  # name the target, not the temp file
+                raise OSError(exc.errno, exc.strerror, path) from None
+            temps.append(temp)
+            with open(fd, "wb") as handle:
+                handle.write(data)
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(temp, stat.S_IMODE(os.stat(path).st_mode))
+        for (path, _), temp in zip(outputs, temps):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+
+
 def _cmd_encrypt(args) -> int:
     if args.max_s_param < 1:
         print("mellin-cipher: error: --max-s-param must be >= 1", file=sys.stderr)
@@ -117,13 +155,9 @@ def _cmd_encrypt(args) -> int:
         return EXIT_USAGE
     plaintext = _read_plaintext(args.infile)
     ciphertext, key = encrypt(plaintext, args.s, fold_case=args.fold_case)
-    # serialize both first, so a key that cannot be written leaves no file behind
-    ciphertext_bytes = keyio.write_ciphertext(ciphertext)
-    key_bytes = keyio.write_key(key)
-    with open(args.outfile, "wb") as handle:
-        handle.write(ciphertext_bytes)
-    with open(args.keyfile, "wb") as handle:
-        handle.write(key_bytes)
+    _write_all_or_none(
+        [(args.keyfile, keyio.write_key(key)), (args.outfile, keyio.write_ciphertext(ciphertext))]
+    )
     return EXIT_OK
 
 

@@ -64,7 +64,7 @@ class NotDivisible(CipherToolkitError):
 
 
 class ExactnessBoundExceeded(CipherToolkitError):
-    """Requested integrand exponent is beyond the configured quadrature budget."""
+    """Requested integrand exponent is beyond the oracle's fixed exactness bound."""
 
     def __init__(self, exponent: int, bound: int):
         self.exponent = exponent

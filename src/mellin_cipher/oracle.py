@@ -14,10 +14,12 @@ least one node more than exactness requires, leaving floating-point rounding
 as the only error source. Scaled integrands exp(-a*x) times a polynomial use
 the same rule rescaled to the weight exp(-a*x): nodes x_k/a, weights w_k/a.
 
-Exponents default to a bound of 40, where the exact factorial still
-compares meaningfully as a double. ``log_space=True`` switches the sum and
-the comparison to log scale (log-sum-exp against the log-factorial), which
-extends the usable range to exponents of several hundred.
+Exponents are bounded at 40, where the exact factorial still compares
+meaningfully as a double. ``numeric_mellin(..., log_space=True)`` switches
+the sum and the comparison to log scale (log-sum-exp against the
+log-factorial) and raises the bound to 300. Every check goes through
+:func:`numeric_mellin` except ``scaling_check``, whose integrand needs the
+rescaled rule.
 """
 
 from __future__ import annotations
@@ -61,42 +63,19 @@ def _auto_node_count(degree: int) -> int:
     return degree // 2 + 2
 
 
-def _moment(degree: int, node_count: int) -> float:
-    """Quadrature of exp(-x) * x^degree with the given node count."""
-    nodes, weights = _laguerre_rule(node_count)
-    return float(weights @ nodes**degree)
-
-
-def _log_moment(degree: int, node_count: int) -> float:
-    nodes, weights = _laguerre_rule(node_count)
-    return float(np.logaddexp.reduce(np.log(weights) + degree * np.log(nodes)))
-
-
-def _resolve_bound(exactness_bound: int | None, log_space: bool) -> int:
-    if exactness_bound is not None:
-        return exactness_bound
-    return LOG_SPACE_EXACTNESS_BOUND if log_space else DEFAULT_EXACTNESS_BOUND
-
-
 def numeric_mellin(
-    n: int,
-    s: int,
-    *,
-    nodes: int | None = None,
-    exactness_bound: int | None = None,
-    log_space: bool = False,
+    n: int, s: int, *, nodes: int | None = None, log_space: bool = False
 ) -> OracleResult:
     """Integrate exp(-x) * x^n against x^(s-1) and compare to (s+n-1)!.
 
     The node count defaults to one more than polynomial exactness requires;
     pass ``nodes`` to request a (still exact) larger rule. Exponents beyond
-    ``exactness_bound`` raise :class:`ExactnessBoundExceeded`; the bound
-    defaults to 40, or 300 in log-space mode.
+    40, or 300 in log-space mode, raise :class:`ExactnessBoundExceeded`.
     """
     if n < 1 or s < 1:
         raise InvalidParameter(f"n and s must be >= 1, got n={n}, s={s}")
     degree = s + n - 1
-    bound = _resolve_bound(exactness_bound, log_space)
+    bound = LOG_SPACE_EXACTNESS_BOUND if log_space else DEFAULT_EXACTNESS_BOUND
     if degree > bound:
         raise ExactnessBoundExceeded(degree, bound)
     minimum = (degree + 2) // 2
@@ -105,41 +84,31 @@ def numeric_mellin(
         raise InvalidParameter(
             f"{node_count} nodes cannot integrate degree {degree} exactly (need >= {minimum})"
         )
+    x, w = _laguerre_rule(node_count)
     exact = math.factorial(degree)
-    if log_space:
-        log_numeric = _log_moment(degree, node_count)
-        relative_error = abs(math.expm1(log_numeric - math.log(exact)))
-        try:
-            numeric = math.exp(log_numeric)
-        except OverflowError:
-            numeric = math.inf
-        return OracleResult(numeric, exact, relative_error)
-    return OracleResult.from_numeric(_moment(degree, node_count), exact)
+    if not log_space:
+        return OracleResult.from_numeric(float(w @ x**degree), exact)
+    log_numeric = float(np.logaddexp.reduce(np.log(w) + degree * np.log(x)))
+    relative_error = abs(math.expm1(log_numeric - math.log(exact)))
+    try:
+        numeric = math.exp(log_numeric)
+    except OverflowError:
+        numeric = math.inf
+    return OracleResult(numeric, exact, relative_error)
 
 
-def gamma_identity_check(
-    n: int,
-    s: int,
-    tol: float,
-    *,
-    exactness_bound: int | None = None,
-    log_space: bool = False,
-) -> bool:
-    """True iff the quadrature matches (s+n-1)! to within relative tol."""
+def _check_tol(tol: float) -> None:
     if tol <= 0:
         raise InvalidParameter(f"tolerance must be > 0, got {tol}")
-    result = numeric_mellin(n, s, exactness_bound=exactness_bound, log_space=log_space)
-    return result.relative_error <= tol
 
 
-def scaling_check(
-    a: float,
-    n: int,
-    s: int,
-    tol: float,
-    *,
-    exactness_bound: int | None = None,
-) -> bool:
+def gamma_identity_check(n: int, s: int, tol: float) -> bool:
+    """True iff the quadrature matches (s+n-1)! to within relative tol."""
+    _check_tol(tol)
+    return numeric_mellin(n, s).relative_error <= tol
+
+
+def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
     """Verify the scaling property: transforming exp(-a*x)*(a*x)^n at s
     multiplies the unscaled value by a^(-s).
 
@@ -151,12 +120,10 @@ def scaling_check(
         raise InvalidScale(f"scale factor must be > 0, got {a}")
     if n < 1 or s < 1:
         raise InvalidParameter(f"n and s must be >= 1, got n={n}, s={s}")
-    if tol <= 0:
-        raise InvalidParameter(f"tolerance must be > 0, got {tol}")
+    _check_tol(tol)
     degree = s + n - 1
-    bound = _resolve_bound(exactness_bound, log_space=False)
-    if degree > bound:
-        raise ExactnessBoundExceeded(degree, bound)
+    if degree > DEFAULT_EXACTNESS_BOUND:
+        raise ExactnessBoundExceeded(degree, DEFAULT_EXACTNESS_BOUND)
     nodes, weights = _laguerre_rule(_auto_node_count(degree))
     x = nodes / a
     numeric = float((weights / a) @ ((a * x) ** n * x ** (s - 1)))
@@ -164,14 +131,7 @@ def scaling_check(
     return abs(numeric - reference) / reference <= tol
 
 
-def shift_check(
-    a: int,
-    n: int,
-    s: int,
-    tol: float,
-    *,
-    exactness_bound: int | None = None,
-) -> bool:
+def shift_check(a: int, n: int, s: int, tol: float) -> bool:
     """Verify that multiplying the integrand by x^a shifts the transform
     argument: the transform of x^a * exp(-x) * x^n at s agrees with the
     transform of exp(-x) * x^n at s+a.
@@ -182,15 +142,8 @@ def shift_check(
     """
     if a < 0:
         raise InvalidParameter(f"shift must be >= 0, got {a}")
-    if n < 1 or s < 1:
-        raise InvalidParameter(f"n and s must be >= 1, got n={n}, s={s}")
-    if tol <= 0:
-        raise InvalidParameter(f"tolerance must be > 0, got {tol}")
-    degree = s + a + n - 1
-    bound = _resolve_bound(exactness_bound, log_space=False)
-    if degree > bound:
-        raise ExactnessBoundExceeded(degree, bound)
-    base = _auto_node_count(degree)
-    lifted = _moment(degree, base)  # x^a folded into the integrand, evaluated at s
-    shifted = _moment(degree, base + 2)  # plain integrand evaluated at s+a
+    _check_tol(tol)
+    base = _auto_node_count(s + a + n - 1)
+    lifted = numeric_mellin(n + a, s, nodes=base).numeric  # x^a folded into the integrand
+    shifted = numeric_mellin(n, s + a, nodes=base + 2).numeric  # plain integrand at s+a
     return abs(lifted - shifted) / max(abs(lifted), abs(shifted)) <= tol

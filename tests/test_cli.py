@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 
 from mellin_cipher.cli import (
@@ -180,6 +183,61 @@ def test_encrypt_key_past_digit_limit_writes_nothing(workdir, capsys, digit_limi
     assert not (workdir / "key.mk").exists()
 
 
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize(
+    "out, key_out, unwritable",
+    [
+        ("new.txt", "nodir/key.mk", "nodir/key.mk"),
+        ("ct.txt", "nodir/key.mk", "nodir/key.mk"),
+        ("ct.txt", "adir", "adir"),
+        ("adir", "key.mk", "adir"),
+    ],
+    ids=["key-dir-missing", "key-dir-missing-out-exists", "key-out-is-dir", "out-is-dir"],
+)
+def test_encrypt_failed_write_changes_no_file(workdir, capsys, out, key_out, unwritable):
+    (workdir / "ct.txt").write_bytes(b"OLD\n")
+    (workdir / "key.mk").write_bytes(EXAMPLE_KEY_BYTES.replace(b"s=4", b"s=5"))
+    (workdir / "adir").mkdir()
+    before = _tree(workdir)
+    code = main(
+        [
+            "encrypt",
+            "--s",
+            "4",
+            "--in",
+            str(workdir / "hello.txt"),
+            "--out",
+            str(workdir / out),
+            "--key-out",
+            str(workdir / key_out),
+        ]
+    )
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert repr(str(workdir / unwritable)) in err  # the target, not a temp file
+    assert _tree(workdir) == before  # no output replaced, no temp file left
+
+
+def test_encrypt_keeps_file_modes(workdir):
+    umask = os.umask(0o022)
+    try:
+        assert run_encrypt(workdir) == EXIT_OK
+        assert stat.S_IMODE((workdir / "ct.txt").stat().st_mode) == 0o644
+        assert stat.S_IMODE((workdir / "key.mk").stat().st_mode) == 0o644
+        (workdir / "key.mk").chmod(0o600)
+        (workdir / "key.mk").write_bytes(b"OLD\n")
+        assert run_encrypt(workdir) == EXIT_OK
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((workdir / "key.mk").stat().st_mode) == 0o600
+    assert (workdir / "key.mk").read_bytes() == EXAMPLE_KEY_BYTES
+    assert sorted(p.name for p in workdir.iterdir()) == ["ct.txt", "hello.txt", "key.mk"]
+
+
 @pytest.mark.parametrize("field", [b"s=4", b"q1=7"], ids=["s", "q1"])
 def test_decrypt_key_field_past_digit_limit(workdir, capsys, digit_limit, field):
     run_encrypt(workdir)
@@ -286,6 +344,19 @@ def test_recover_s_rejects_wide_integers(workdir, capsys):
     )
     assert code == EXIT_OK
     assert capsys.readouterr().out == ""
+
+
+def test_recover_s_quotient_past_digit_limit_is_usage_error(workdir, capsys, digit_limit):
+    (workdir / "ab.txt").write_bytes(b"AB\n")
+    wide = "1" + "0" * 5000
+    code = main(
+        ["recover-s", "--in", str(workdir / "ab.txt"), "--quotients", f"7,{wide}", "--max-s", "1"]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 500
+    assert f"quotient 2 has more than {digit_limit} digits" in err
+    assert "_nonneg_int_list" not in err
 
 
 def test_recover_s_empty(workdir, capsys):

@@ -7,7 +7,12 @@ from pathlib import Path
 import pytest
 
 import mellin_cipher
-from mellin_cipher.errors import ExactnessBoundExceeded, InvalidParameter, InvalidScale
+from mellin_cipher.errors import (
+    CipherToolkitError,
+    ExactnessBoundExceeded,
+    InvalidParameter,
+    InvalidScale,
+)
 from mellin_cipher.oracle import (
     DEFAULT_EXACTNESS_BOUND,
     OracleResult,
@@ -34,12 +39,10 @@ def test_numeric_mellin_rejects_bad_args():
         numeric_mellin(4, 0)
 
 
-def test_numeric_mellin_exactness_bound():
+def test_numeric_mellin_default_bound():
     assert numeric_mellin(1, DEFAULT_EXACTNESS_BOUND).exact == math.factorial(40)
     with pytest.raises(ExactnessBoundExceeded):
         numeric_mellin(2, DEFAULT_EXACTNESS_BOUND)
-    with pytest.raises(ExactnessBoundExceeded):
-        numeric_mellin(2, 10, exactness_bound=10)
 
 
 def test_numeric_mellin_node_budget():
@@ -179,3 +182,51 @@ def test_oracle_result_fields():
     assert result.relative_error >= 0
     assert math.isfinite(result.relative_error)
     assert result.relative_error == abs(result.numeric - result.exact) / result.exact
+
+
+# one valid call per oracle function; each fault below changes exactly one argument
+_VALID_CALLS = {
+    "numeric_mellin": (numeric_mellin, {"n": 2, "s": 3}),
+    "gamma_identity_check": (gamma_identity_check, {"n": 2, "s": 3, "tol": 1e-9}),
+    "scaling_check": (scaling_check, {"a": 1.0, "n": 2, "s": 3, "tol": 1e-9}),
+    "shift_check": (shift_check, {"a": 1, "n": 2, "s": 3, "tol": 1e-9}),
+}
+
+_SINGLE_FAULTS = [
+    ("numeric_mellin", {"n": 0}, InvalidParameter),
+    ("numeric_mellin", {"s": 0}, InvalidParameter),
+    ("numeric_mellin", {"s": 40}, ExactnessBoundExceeded),  # degree 41
+    ("gamma_identity_check", {"n": 0}, InvalidParameter),
+    ("gamma_identity_check", {"s": 0}, InvalidParameter),
+    ("gamma_identity_check", {"tol": 0.0}, InvalidParameter),
+    ("gamma_identity_check", {"s": 40}, ExactnessBoundExceeded),  # degree 41
+    ("scaling_check", {"n": 0}, InvalidParameter),
+    ("scaling_check", {"s": 0}, InvalidParameter),
+    ("scaling_check", {"tol": 0.0}, InvalidParameter),
+    ("scaling_check", {"a": 0.0}, InvalidScale),
+    ("scaling_check", {"a": -1.0}, InvalidScale),
+    ("scaling_check", {"s": 40}, ExactnessBoundExceeded),  # degree 41
+    ("shift_check", {"n": 0}, InvalidParameter),
+    ("shift_check", {"s": 0}, InvalidParameter),
+    ("shift_check", {"tol": 0.0}, InvalidParameter),
+    ("shift_check", {"a": -1}, InvalidParameter),
+    ("shift_check", {"s": 39}, ExactnessBoundExceeded),  # degree 39 + 1 + 2 - 1 = 41
+]
+
+
+@pytest.mark.parametrize("name", _VALID_CALLS)
+def test_oracle_valid_call(name):
+    call, args = _VALID_CALLS[name]
+    assert call(**args)
+
+
+@pytest.mark.parametrize(
+    "name, fault, expected",
+    _SINGLE_FAULTS,
+    ids=[f"{name}-{key}={value}" for name, fault, _ in _SINGLE_FAULTS for key, value in fault.items()],
+)
+def test_oracle_single_fault(name, fault, expected):
+    call, args = _VALID_CALLS[name]
+    with pytest.raises(CipherToolkitError) as caught:
+        call(**{**args, **fault})
+    assert type(caught.value) is expected
