@@ -21,15 +21,23 @@ from .cipher import (
     transform_coefficients,
 )
 from .keyio import read_ciphertext, read_key, write_ciphertext, write_key
-from .oracle import (
-    OracleResult,
-    gamma_identity_check,
-    numeric_mellin,
-    scaling_check,
-    shift_check,
-)
 
 __version__ = "0.1.0"
+
+# The oracle needs numpy; it is imported on first use of one of its names,
+# so the cipher, the key format and every CLI command but verify-transform
+# run without loading numpy.
+_ORACLE_NAMES = frozenset(
+    {"OracleResult", "gamma_identity_check", "numeric_mellin", "scaling_check", "shift_check"}
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CipherKey",

@@ -15,6 +15,7 @@ implemented here as a faithful, testable artifact, not as a secure cipher.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -87,30 +88,33 @@ def exponent_schedule(s: int, n: int) -> list[int]:
     return [s + (i % period) for i in range(n)]
 
 
-def _schedule_factorials(s: int, n: int) -> Iterator[int]:
-    """Lazily yield e! for each exponent e of ``exponent_schedule(s, n)``.
+def _schedule_slots(s: int, n: int) -> Iterator[tuple[int, dict]]:
+    """Lazily yield ``(e!, memo)`` for each exponent e of ``exponent_schedule(s, n)``.
 
     The schedule takes at most s+1 distinct exponents, first in increasing
-    order, so each factorial is computed once: s! directly, every later one
-    from its predecessor. A slot is filled only when a position first
-    reaches it, so a caller that stops early (a corrupted key, say) has paid
-    for no factorial beyond that position.
+    order, so each slot is built once: s! directly, every later factorial
+    from its predecessor, each with an empty dict in which the caller keeps
+    what it has already computed under that factorial. A slot is built only
+    when a position first reaches it, so a caller that stops early (a
+    corrupted key, say) has paid for no factorial beyond that position, and
+    a memo holds entries only for the positions reached.
     """
-    table: list[int] = []
+    first_period = exponent_schedule(s, min(n, s + 1))  # validates s and n
 
-    def factorial_of(exponent: int) -> int:
-        slot = exponent - s
-        if slot == len(table):
-            table.append(table[-1] * exponent if table else math.factorial(s))
-        return table[slot]
+    def slots() -> Iterator[tuple[int, dict]]:
+        table: list[tuple[int, dict]] = []
+        for exponent in first_period:
+            table.append((table[-1][0] * exponent if table else math.factorial(s), {}))
+            yield table[-1]
+        yield from itertools.islice(itertools.cycle(table), n - len(table))
 
-    return map(factorial_of, exponent_schedule(s, n))
+    return slots()
 
 
 def transform_coefficients(plain: Sequence[int], s: int) -> list[int]:
     """Scale each letter value by the factorial of its schedule exponent."""
     coefficients = []
-    for index, (weight, value) in enumerate(zip(_schedule_factorials(s, len(plain)), plain)):
+    for index, ((weight, _), value) in enumerate(zip(_schedule_slots(s, len(plain)), plain)):
         if not 1 <= value <= MODULUS:
             raise ValueOutOfRange(value, f"plaintext value at index {index}")
         coefficients.append(value * weight)
@@ -137,14 +141,14 @@ def encrypt(plaintext: str, s: int, fold_case: bool = True) -> tuple[CipherText,
     per-position quotients). Deterministic: equal inputs give equal outputs.
     """
     values = encode_text(plaintext, fold_case=fold_case)
-    coefficients = transform_coefficients(values, s)
-    quotients = []
-    residues = []
-    for coefficient in coefficients:
-        quotient, residue = split_mod26(coefficient)
-        quotients.append(quotient)
-        residues.append(residue)
-    return CipherText(tuple(residues)), CipherKey(s, tuple(quotients))
+    pairs = []
+    for (weight, memo), value in zip(_schedule_slots(s, len(values)), values):
+        pair = memo.get(value)
+        if pair is None:
+            pair = memo[value] = split_mod26(value * weight)
+        pairs.append(pair)
+    quotients, residues = zip(*pairs) if pairs else ((), ())
+    return CipherText(residues), CipherKey(s, quotients)
 
 
 def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
@@ -160,16 +164,19 @@ def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
             f"ciphertext has {len(ciphertext)} letters but key has {len(key)} quotients"
         )
     values = []
-    for position, (divisor, quotient, residue) in enumerate(
-        zip(_schedule_factorials(key.s, len(ciphertext)), key.quotients, ciphertext.residues),
+    for position, ((divisor, memo), quotient, residue) in enumerate(
+        zip(_schedule_slots(key.s, len(ciphertext)), key.quotients, ciphertext.residues),
         start=1,
     ):
-        coefficient = quotient * MODULUS + residue
-        value, remainder = divmod(coefficient, divisor)
-        if remainder != 0:
-            raise NotDivisible(position, coefficient, divisor)
-        if not 1 <= value <= MODULUS:
-            raise ValueOutOfRange(value, f"recovered value at position {position}")
+        value = memo.get((quotient, residue))
+        if value is None:
+            coefficient = quotient * MODULUS + residue
+            value, remainder = divmod(coefficient, divisor)
+            if remainder != 0:
+                raise NotDivisible(position, coefficient, divisor)
+            if not 1 <= value <= MODULUS:
+                raise ValueOutOfRange(value, f"recovered value at position {position}")
+            memo[quotient, residue] = value
         values.append(value)
     return decode_values(values)
 

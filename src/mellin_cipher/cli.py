@@ -19,7 +19,6 @@ from typing import Sequence
 from . import keyio
 from .cipher import encrypt, decrypt, recover_s
 from .errors import CipherToolkitError
-from .oracle import numeric_mellin
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -28,6 +27,7 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 
 DEFAULT_MAX_S_PARAM = 64
+_SHOWN_CHARS = 20  # a rejected --quotients token is quoted up to this many characters
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,7 +45,8 @@ def _nonneg_int_list(text: str) -> list[int]:
     for index, token in enumerate(text.split(","), start=1):
         token = token.strip()
         if not (token.isascii() and token.isdigit()):
-            raise argparse.ArgumentTypeError(f"bad quotient {token!r}: expected a decimal >= 0")
+            shown = repr(token[:_SHOWN_CHARS]) + ("..." if len(token) > _SHOWN_CHARS else "")
+            raise argparse.ArgumentTypeError(f"quotient {index} is not a decimal >= 0: {shown}")
         try:
             values.append(int(token))
         except ValueError:  # str -> int refuses integers past the digit limit
@@ -173,6 +174,8 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_verify_transform(args) -> int:
+    from .oracle import numeric_mellin  # the only command that needs numpy
+
     if args.n_max < 1 or args.s_max < 1:
         print("mellin-cipher: error: --n-max and --s-max must be >= 1", file=sys.stderr)
         return EXIT_USAGE

@@ -49,12 +49,18 @@ def _too_wide() -> str:
 
 def write_key(key: CipherKey) -> bytes:
     """Serialize a key to its canonical byte form."""
+    tails: dict[int, str] = {}  # a key repeats each quotient once per schedule period
     try:
-        lines = [KEY_MAGIC, f"s={key.s}", f"n={len(key.quotients)}"]
-        lines.extend(f"q{i}={q}" for i, q in enumerate(key.quotients, start=1))
+        parts = [f"{KEY_MAGIC}\ns={key.s}\nn={len(key.quotients)}\n"]
+        for index, quotient in enumerate(key.quotients, start=1):
+            tail = tails.get(quotient)
+            if tail is None:
+                tail = tails[quotient] = f"={quotient}\n"
+            parts.append(f"q{index}")
+            parts.append(tail)
     except ValueError:  # int -> str refuses integers past the digit limit
         raise KeyFormatError(f"cannot write key: an integer has {_too_wide()}") from None
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return "".join(parts).encode("ascii")
 
 
 def _parse_int(text: str, line: int) -> int:
@@ -97,6 +103,7 @@ def read_key(data: bytes) -> CipherKey:
     count = _parse_int(lines[2][2:], 3)
 
     quotients = []
+    parsed: dict[str, int] = {}  # a key repeats each quotient once per schedule period
     for offset, line in enumerate(lines[3:], start=4):
         index = offset - 3
         if index > count:
@@ -106,7 +113,11 @@ def read_key(data: bytes) -> CipherKey:
         prefix = f"q{index}="
         if not line.startswith(prefix):
             raise BadField(offset, f"expected {prefix!r} prefix, got {line!r}")
-        quotients.append(_parse_int(line[len(prefix) :], offset))
+        text = line[len(prefix) :]
+        quotient = parsed.get(text)
+        if quotient is None:
+            quotient = parsed[text] = _parse_int(text, offset)
+        quotients.append(quotient)
     if len(quotients) != count:
         raise CountMismatch(f"declared n={count} but found {len(quotients)} quotient lines")
     return CipherKey(s, tuple(quotients))

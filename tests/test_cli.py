@@ -1,8 +1,12 @@
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from mellin_cipher import cli
 from mellin_cipher.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -357,6 +361,57 @@ def test_recover_s_quotient_past_digit_limit_is_usage_error(workdir, capsys, dig
     assert len(err.encode()) < 500
     assert f"quotient 2 has more than {digit_limit} digits" in err
     assert "_nonneg_int_list" not in err
+
+
+def test_recover_s_bad_quotient_is_short_usage_error(workdir, capsys):
+    (workdir / "ab.txt").write_bytes(b"AB\n")
+    token = "x" + "0" * 4999
+    code = main(
+        ["recover-s", "--in", str(workdir / "ab.txt"), "--quotients", f"7,{token}", "--max-s", "3"]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 500
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "mellin-cipher recover-s: error: argument --quotients: "
+        "quotient 2 is not a decimal >= 0: 'x0000000000000000000'..."
+    ]
+
+
+_REPORT_NUMPY = "print('numpy' in sys.modules, file=sys.stderr)\n"
+
+
+def _fresh_python(workdir, code, *argv):
+    """Run ``code`` in a fresh interpreter that imports the package from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=workdir,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_only_verify_transform_loads_numpy(workdir, capsys):
+    bare = _fresh_python(workdir, "import sys, mellin_cipher\n" + _REPORT_NUMPY)
+    assert (bare.returncode, bare.stderr) == (0, "False\n")
+    # the last stderr line says whether the command loaded numpy
+    run_main = "import sys\nfrom mellin_cipher.cli import main\ncode = main(sys.argv[1:])\n"
+    run_main += _REPORT_NUMPY + "sys.exit(code)\n"
+    for argv in (
+        ["encrypt", "--s", "4", "--in", "hello.txt", "--out", "ct.txt", "--key-out", "key.mk"],
+        ["decrypt", "--key", "key.mk", "--in", "ct.txt", "--out", "pt.txt"],
+        ["recover-s", "--in", "ct.txt", "--quotients", "7,23,332,2326,23261", "--max-s", "8"],
+    ):
+        result = _fresh_python(workdir, run_main, *argv)
+        assert (result.returncode, result.stderr) == (EXIT_OK, "False\n"), argv
+    assert (workdir / "pt.txt").read_bytes() == b"HELLO\n"
+    cold = _fresh_python(workdir, run_main, "verify-transform", "--n-max", "3", "--s-max", "3")
+    assert main(["verify-transform", "--n-max", "3", "--s-max", "3"]) == EXIT_OK
+    warm = capsys.readouterr()
+    assert cold.returncode == EXIT_OK
+    assert (cold.stdout, cold.stderr) == (warm.out, warm.err + "True\n")
 
 
 def test_recover_s_empty(workdir, capsys):

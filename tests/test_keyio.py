@@ -1,17 +1,29 @@
-import pytest
-from hypothesis import given, strategies as st
+import re
 
-from mellin_cipher.cipher import CipherKey, CipherText
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mellin_cipher.alphabet import ALPHABET
+from mellin_cipher.cipher import CipherKey, CipherText, encrypt
 from mellin_cipher.errors import (
     BadField,
     BadMagic,
+    CipherToolkitError,
     CountMismatch,
     KeyFormatError,
     NonAlphabetCharacter,
     NonCanonicalInteger,
     TrailingGarbage,
 )
-from mellin_cipher.keyio import read_ciphertext, read_key, write_ciphertext, write_key
+from mellin_cipher.keyio import (
+    KEY_MAGIC,
+    _split_lines,
+    _too_wide,
+    read_ciphertext,
+    read_key,
+    write_ciphertext,
+    write_key,
+)
 
 EXAMPLE_KEY = CipherKey(4, (7, 23, 332, 2326, 23261))
 EXAMPLE_KEY_BYTES = b"MELLIN-KEY-V1\ns=4\nn=5\nq1=7\nq2=23\nq3=332\nq4=2326\nq5=23261\n"
@@ -112,6 +124,14 @@ def test_reader_and_writer_share_digit_limit(digit_limit, over):
             read_key(data)
 
 
+def test_read_key_shares_equal_quotients():
+    # one int per distinct quotient text, so a long key holds only its distinct quotients
+    key = encrypt(ALPHABET * 20, 12)[1]  # 520 quotients, 26 of them distinct
+    opened = read_key(write_key(key))
+    assert opened == key
+    assert len({id(quotient) for quotient in opened.quotients}) == len(set(key.quotients)) == 26
+
+
 def test_read_key_rejects_cr():
     with pytest.raises(BadField) as exc_info:
         read_key(b"MELLIN-KEY-V1\r\ns=4\nn=0\n")
@@ -179,3 +199,134 @@ def test_key_round_trip_property(key):
 def test_ciphertext_round_trip_property(residues):
     ct = CipherText(residues)
     assert read_ciphertext(write_ciphertext(ct)) == ct
+
+
+# The per-line writer and reader that the memoised ones replaced, kept as references.
+
+_REFERENCE_CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
+
+
+def _reference_write_key(key):
+    try:
+        lines = [KEY_MAGIC, f"s={key.s}", f"n={len(key.quotients)}"]
+        lines.extend(f"q{i}={q}" for i, q in enumerate(key.quotients, start=1))
+    except ValueError:
+        raise KeyFormatError(f"cannot write key: an integer has {_too_wide()}") from None
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _reference_parse_int(text, line):
+    if _REFERENCE_CANONICAL_INT.fullmatch(text) is None:
+        raise NonCanonicalInteger(line, text)
+    try:
+        return int(text)
+    except ValueError:
+        raise BadField(line, f"integer has {_too_wide()}") from None
+
+
+def _reference_read_key(data):
+    if not data:
+        raise BadMagic("empty key file")
+    lines = _split_lines(data, "key file")
+    if not lines or lines[0] != KEY_MAGIC:
+        raise BadMagic(f"expected magic line {KEY_MAGIC!r}")
+    if len(lines) < 3:
+        raise BadField(len(lines) + 1, "missing s= or n= line")
+    if not lines[1].startswith("s="):
+        raise BadField(2, f"expected 's=<int>', got {lines[1]!r}")
+    s = _reference_parse_int(lines[1][2:], 2)
+    if s < 1:
+        raise BadField(2, f"secret parameter s must be >= 1, got {s}")
+    if not lines[2].startswith("n="):
+        raise BadField(3, f"expected 'n=<int>', got {lines[2]!r}")
+    count = _reference_parse_int(lines[2][2:], 3)
+    quotients = []
+    for offset, line in enumerate(lines[3:], start=4):
+        index = offset - 3
+        if index > count:
+            if line.startswith("q"):
+                raise CountMismatch(f"declared n={count} but found more quotient lines")
+            raise TrailingGarbage(f"unexpected content at line {offset}: {line!r}")
+        prefix = f"q{index}="
+        if not line.startswith(prefix):
+            raise BadField(offset, f"expected {prefix!r} prefix, got {line!r}")
+        quotients.append(_reference_parse_int(line[len(prefix) :], offset))
+    if len(quotients) != count:
+        raise CountMismatch(f"declared n={count} but found {len(quotients)} quotient lines")
+    return CipherKey(s, tuple(quotients))
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except CipherToolkitError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+@st.composite
+def repetitive_keys(draw):
+    """Keys whose quotients repeat, as a real key's do once per schedule period."""
+    if draw(st.booleans()):
+        plaintext = draw(st.text(alphabet=ALPHABET, max_size=120))
+        return encrypt(plaintext, draw(st.integers(1, 30)))[1]
+    pool = draw(
+        st.lists(
+            st.one_of(st.integers(0, 10**70), st.sampled_from([10**4299, 10**4300])),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    quotients = draw(st.lists(st.sampled_from(pool), max_size=60))
+    return CipherKey(draw(st.integers(1, 10**6)), tuple(quotients))
+
+
+# bytes a mutation inserts: mostly the ones the key format is made of
+_format_bytes = st.one_of(
+    st.sampled_from([ord(c) for c in "0123456789qsn=\n\r+- "]), st.integers(0, 255)
+)
+
+
+@st.composite
+def mutated(draw, files):
+    """A valid file with a few bytes replaced, inserted, deleted or repeated."""
+    data = bytearray(draw(files))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "repeat"]))
+        if kind == "replace" and at < len(data):
+            data[at] = draw(_format_bytes)
+        elif kind == "insert":
+            data[at:at] = bytes(draw(st.lists(_format_bytes, min_size=1, max_size=8)))
+        elif kind == "delete":
+            del data[at : at + draw(st.integers(1, 8))]
+        elif kind == "repeat":
+            data[at:at] = data[at : draw(st.integers(at, len(data)))]
+    return bytes(data)
+
+
+key_files = repetitive_keys().filter(lambda key: max(key.quotients, default=0) < 10**4299).map(
+    write_key
+)
+ciphertext_files = st.text(alphabet=ALPHABET, max_size=40).map(lambda text: text.encode() + b"\n")
+
+
+@given(repetitive_keys())
+@settings(max_examples=200)
+def test_write_key_matches_reference(key):
+    assert _outcome(write_key, key) == _outcome(_reference_write_key, key)
+
+
+@given(st.one_of(key_files, mutated(key_files)))
+@settings(max_examples=400)
+def test_read_key_matches_reference(data):
+    assert _outcome(read_key, data) == _outcome(_reference_read_key, data)
+
+
+@given(st.one_of(st.binary(max_size=200), mutated(key_files), mutated(ciphertext_files)))
+@settings(max_examples=400)
+def test_readers_raise_only_toolkit_errors(data):
+    for reader in (read_key, read_ciphertext):
+        try:
+            reader(data)
+        except CipherToolkitError:
+            pass
