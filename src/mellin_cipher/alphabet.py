@@ -3,17 +3,26 @@
 The convention is A=1, B=2, ..., Z=26. The cipher represents every mod-26
 residue in 1..26 so each residue maps back to a letter; this module owns
 that alphabet and nothing else. Anything outside 'A'..'Z' is rejected,
-never dropped or substituted.
+never dropped or substituted. Both directions check and translate in C.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import NonAlphabetCharacter, ValueOutOfRange
 
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_A = ord("A")
+_VALUES = bytes(range(1, 27))
+_TO_VALUES = bytes.maketrans(ALPHABET.encode(), _VALUES)
+_TO_LETTERS = bytes.maketrans(_VALUES, ALPHABET.encode())
+
+
+def _letter_values(text: str, context: str) -> bytes:
+    rest = text.lstrip(ALPHABET)  # the text from its first non-letter on
+    if rest:
+        raise NonAlphabetCharacter(rest[0], len(text) - len(rest), context)
+    return text.encode().translate(_TO_VALUES)
 
 
 def encode_text(text: str, fold_case: bool = True) -> list[int]:
@@ -23,21 +32,17 @@ def encode_text(text: str, fold_case: bool = True) -> list[int]:
     validation; every other non-'A'..'Z' character raises
     :class:`NonAlphabetCharacter` carrying the offending 0-based index.
     """
-    if fold_case:
-        text = text.upper()
-    values = []
-    for index, char in enumerate(text):
-        if not "A" <= char <= "Z":
-            raise NonAlphabetCharacter(char, index, "plaintext")
-        values.append(ord(char) - _A + 1)
-    return values
+    return list(_letter_values(text.upper() if fold_case else text, "plaintext"))
 
 
-def decode_values(values: Sequence[int]) -> str:
+def decode_values(values: Iterable[int]) -> str:
     """Inverse of :func:`encode_text` on sequences of values in 1..26."""
-    chars = []
-    for index, value in enumerate(values):
-        if not 1 <= value <= 26:
-            raise ValueOutOfRange(value, f"value at index {index}")
-        chars.append(chr(_A + value - 1))
-    return "".join(chars)
+    values = values if isinstance(values, Sequence) else list(values)  # a failure rereads them
+    try:
+        data = bytes(values)
+    except ValueError:  # some value outside 0..255
+        data = b"\0"
+    if data.translate(None, delete=_VALUES):  # what is left is out of range
+        index, value = next((i, v) for i, v in enumerate(values) if not 1 <= v <= 26)
+        raise ValueOutOfRange(value, f"value at index {index}")
+    return data.translate(_TO_LETTERS).decode()

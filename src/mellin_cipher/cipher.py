@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .alphabet import decode_values, encode_text
+from .alphabet import _letter_values, decode_values, encode_text
 from .errors import (
     InvalidParameter,
     LengthMismatch,
@@ -39,13 +39,14 @@ class CipherText:
     residues: tuple[int, ...]
 
     def __post_init__(self):
-        for index, residue in enumerate(self.residues):
-            if not 1 <= residue <= MODULUS:
-                raise ValueOutOfRange(residue, f"residue at index {index}")
+        residues = self.residues
+        if residues and not (1 <= min(residues) and max(residues) <= MODULUS):
+            index, residue = next((i, r) for i, r in enumerate(residues) if not 1 <= r <= MODULUS)
+            raise ValueOutOfRange(residue, f"residue at index {index}")
 
     @classmethod
     def from_letters(cls, text: str) -> "CipherText":
-        return cls(tuple(encode_text(text, fold_case=False)))
+        return cls(tuple(_letter_values(text, "ciphertext")))
 
     @property
     def letters(self) -> str:
@@ -66,9 +67,9 @@ class CipherKey:
     def __post_init__(self):
         if self.s < 1:
             raise InvalidParameter(f"secret parameter s must be >= 1, got {self.s}")
-        for index, quotient in enumerate(self.quotients):
-            if quotient < 0:
-                raise ValueOutOfRange(quotient, f"quotient at index {index} (must be >= 0)")
+        if self.quotients and min(self.quotients) < 0:
+            index, quotient = next((i, q) for i, q in enumerate(self.quotients) if q < 0)
+            raise ValueOutOfRange(quotient, f"quotient at index {index} (must be >= 0)")
 
     def __len__(self) -> int:
         return len(self.quotients)
@@ -84,8 +85,7 @@ def exponent_schedule(s: int, n: int) -> list[int]:
         raise InvalidParameter(f"secret parameter s must be >= 1, got {s}")
     if n < 0:
         raise InvalidParameter(f"schedule length must be >= 0, got {n}")
-    period = s + 1
-    return [s + (i % period) for i in range(n)]
+    return list(itertools.islice(itertools.cycle(range(s, 2 * s + 1)), n))
 
 
 def _schedule_slots(s: int, n: int) -> Iterator[tuple[int, dict]]:
@@ -99,16 +99,11 @@ def _schedule_slots(s: int, n: int) -> Iterator[tuple[int, dict]]:
     corrupted key, say) has paid for no factorial beyond that position, and
     a memo holds entries only for the positions reached.
     """
-    first_period = exponent_schedule(s, min(n, s + 1))  # validates s and n
-
-    def slots() -> Iterator[tuple[int, dict]]:
-        table: list[tuple[int, dict]] = []
-        for exponent in first_period:
-            table.append((table[-1][0] * exponent if table else math.factorial(s), {}))
-            yield table[-1]
-        yield from itertools.islice(itertools.cycle(table), n - len(table))
-
-    return slots()
+    table: list[tuple[int, dict]] = []
+    for exponent in exponent_schedule(s, min(n, s + 1)):  # validates s and n
+        table.append((table[-1][0] * exponent if table else math.factorial(s), {}))
+        yield table[-1]
+    yield from itertools.islice(itertools.cycle(table), n - len(table))
 
 
 def transform_coefficients(plain: Sequence[int], s: int) -> list[int]:
@@ -196,6 +191,8 @@ def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> s
         )
     if max_s < 1:
         raise InvalidParameter(f"max_s must be >= 1, got {max_s}")
+    if not quotients:  # no letter can fail, so every s decrypts cleanly
+        return set(range(1, max_s + 1))
     candidates = set()
     for s in range(1, max_s + 1):
         try:

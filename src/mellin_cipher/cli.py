@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import keyio
 from .cipher import encrypt, decrypt, recover_s
-from .errors import CipherToolkitError
+from .errors import CipherToolkitError, _quote
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -27,7 +27,6 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 
 DEFAULT_MAX_S_PARAM = 64
-_SHOWN_CHARS = 20  # a rejected --quotients token is quoted up to this many characters
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,7 +44,7 @@ def _nonneg_int_list(text: str) -> list[int]:
     for index, token in enumerate(text.split(","), start=1):
         token = token.strip()
         if not (token.isascii() and token.isdigit()):
-            shown = repr(token[:_SHOWN_CHARS]) + ("..." if len(token) > _SHOWN_CHARS else "")
+            shown = _quote(token)
             raise argparse.ArgumentTypeError(f"quotient {index} is not a decimal >= 0: {shown}")
         try:
             values.append(int(token))
@@ -105,11 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_plaintext(path: str) -> str:
     with open(path, "rb") as handle:
-        data = handle.read()
-    # editors append one LF; anything beyond that must fail validation
-    if data.endswith(b"\n"):
-        data = data[:-1]
-    return data.decode("ascii")
+        # editors append one LF; anything beyond that must fail validation
+        return handle.read().removesuffix(b"\n").decode("ascii")
 
 
 def _write_all_or_none(outputs: list[tuple[str, bytes]]) -> None:
@@ -154,8 +150,7 @@ def _cmd_encrypt(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    plaintext = _read_plaintext(args.infile)
-    ciphertext, key = encrypt(plaintext, args.s, fold_case=args.fold_case)
+    ciphertext, key = encrypt(_read_plaintext(args.infile), args.s, fold_case=args.fold_case)
     _write_all_or_none(
         [(args.keyfile, keyio.write_key(key)), (args.outfile, keyio.write_ciphertext(ciphertext))]
     )
@@ -204,9 +199,8 @@ def _cmd_recover_s(args) -> int:
         return EXIT_USAGE
     with open(args.infile, "rb") as handle:
         ciphertext = keyio.read_ciphertext(handle.read())
-    candidates = recover_s(ciphertext, args.quotients, args.max_s)
-    for s in sorted(candidates):
-        print(s)
+    candidates = sorted(recover_s(ciphertext, args.quotients, args.max_s))
+    sys.stdout.writelines(f"{s}\n" for s in candidates)
     return EXIT_OK
 
 

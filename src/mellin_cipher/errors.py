@@ -18,6 +18,13 @@ def _render_int(value: int) -> str:
     return str(value) if bits <= 64 else f"<{bits}-bit integer>"
 
 
+_SHOWN_CHARS = 20  # an echoed input field is quoted up to this many characters
+
+
+def _quote(text: str) -> str:
+    return repr(text[:_SHOWN_CHARS]) + ("..." if len(text) > _SHOWN_CHARS else "")
+
+
 class NonAlphabetCharacter(CipherToolkitError):
     """A character outside 'A'..'Z' where a letter was required."""
 
@@ -103,7 +110,7 @@ class NonCanonicalInteger(KeyFormatError):
     def __init__(self, line: int, text: str):
         self.line = line
         self.text = text
-        super().__init__(f"line {line}: non-canonical integer {text!r}")
+        super().__init__(f"line {line}: non-canonical integer {_quote(text)}")
 
 
 class TrailingGarbage(KeyFormatError):

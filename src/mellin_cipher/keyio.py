@@ -33,9 +33,9 @@ from .errors import (
     BadMagic,
     CountMismatch,
     KeyFormatError,
-    NonAlphabetCharacter,
     NonCanonicalInteger,
     TrailingGarbage,
+    _quote,
 )
 
 KEY_MAGIC = "MELLIN-KEY-V1"
@@ -94,12 +94,12 @@ def read_key(data: bytes) -> CipherKey:
     if len(lines) < 3:
         raise BadField(len(lines) + 1, "missing s= or n= line")
     if not lines[1].startswith("s="):
-        raise BadField(2, f"expected 's=<int>', got {lines[1]!r}")
+        raise BadField(2, f"expected 's=<int>', got {_quote(lines[1])}")
     s = _parse_int(lines[1][2:], 2)
     if s < 1:
         raise BadField(2, f"secret parameter s must be >= 1, got {s}")
     if not lines[2].startswith("n="):
-        raise BadField(3, f"expected 'n=<int>', got {lines[2]!r}")
+        raise BadField(3, f"expected 'n=<int>', got {_quote(lines[2])}")
     count = _parse_int(lines[2][2:], 3)
 
     quotients = []
@@ -109,10 +109,10 @@ def read_key(data: bytes) -> CipherKey:
         if index > count:
             if line.startswith("q"):
                 raise CountMismatch(f"declared n={count} but found more quotient lines")
-            raise TrailingGarbage(f"unexpected content at line {offset}: {line!r}")
+            raise TrailingGarbage(f"unexpected content at line {offset}: {_quote(line)}")
         prefix = f"q{index}="
         if not line.startswith(prefix):
-            raise BadField(offset, f"expected {prefix!r} prefix, got {line!r}")
+            raise BadField(offset, f"expected {prefix!r} prefix, got {_quote(line)}")
         text = line[len(prefix) :]
         quotient = parsed.get(text)
         if quotient is None:
@@ -141,7 +141,4 @@ def read_ciphertext(data: bytes) -> CipherText:
         raise BadField(1, "missing trailing newline")
     if newline != len(data) - 1:
         raise TrailingGarbage(f"content after line 1 (byte offset {newline + 1})")
-    for offset, byte in enumerate(data[:newline]):
-        if not ord("A") <= byte <= ord("Z"):
-            raise NonAlphabetCharacter(chr(byte), offset, "ciphertext")
-    return CipherText.from_letters(data[:newline].decode("ascii"))
+    return CipherText.from_letters(data[:newline].decode("latin-1"))  # byte i is chr(byte i)

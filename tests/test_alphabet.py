@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mellin_cipher.alphabet import ALPHABET, decode_values, encode_text
 from mellin_cipher.errors import NonAlphabetCharacter, ValueOutOfRange
@@ -80,3 +80,84 @@ def test_round_trip_text(text):
 @given(st.lists(st.integers(min_value=1, max_value=26)))
 def test_round_trip_values(values):
     assert encode_text(decode_values(values)) == values
+
+
+# The per-letter loops that the translate tables replaced, kept as references.
+
+
+def _reference_encode_text(text, fold_case=True):
+    if fold_case:
+        text = text.upper()
+    values = []
+    for index, char in enumerate(text):
+        if not "A" <= char <= "Z":
+            raise NonAlphabetCharacter(char, index, "plaintext")
+        values.append(ord(char) - ord("A") + 1)
+    return values
+
+
+def _reference_decode_values(values):
+    chars = []
+    for index, value in enumerate(values):
+        if not 1 <= value <= 26:
+            raise ValueOutOfRange(value, f"value at index {index}")
+        chars.append(chr(ord("A") + value - 1))
+    return "".join(chars)
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except (NonAlphabetCharacter, ValueOutOfRange) as exc:
+        # vars() holds .index and .char, or .value; its type tells False from 0
+        return type(exc), str(exc), [(k, type(v), v) for k, v in vars(exc).items()]
+
+
+# mostly letters, then characters that upper() turns into ASCII letters
+# ("ß" -> "SS", "ﬁ" -> "FI", "ı" -> "I"), other non-ASCII, and anything at all
+_texts = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(ALPHABET + ALPHABET.lower()),
+        st.sampled_from("ßﬁıÄäéÿ\u0100\U0001d400 !3\x00\x7f\n"),
+        st.characters(),
+    ),
+    max_size=40,
+)
+# mostly letter values, then every kind of value the range check must name
+_values = st.lists(
+    st.one_of(
+        st.integers(1, 26),
+        st.integers(-300, 300),
+        st.integers(min_value=2**63),
+        st.integers(max_value=-(2**63)),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+@given(_texts, st.booleans())
+@example("straße", True)
+@example("ﬁx", True)
+@example("ıi", True)
+@example("ıi", False)
+@settings(max_examples=400)
+def test_encode_text_matches_reference(text, fold_case):
+    expected = _outcome(_reference_encode_text, text, fold_case)
+    assert _outcome(encode_text, text, fold_case) == expected
+
+
+@given(_values, st.sampled_from([list, tuple, iter]))
+@example([100], iter)
+@example([1, True, False], list)
+@example([26, 27, 10**30], iter)
+@settings(max_examples=400)
+def test_decode_values_matches_reference(values, container):
+    expected = _outcome(_reference_decode_values, container(values))
+    assert _outcome(decode_values, container(values)) == expected
+
+
+@given(st.integers(-30, 60), st.integers(-30, 60), st.integers(1, 3))
+def test_decode_values_of_range_matches_reference(start, stop, step):
+    values = range(start, stop, step)
+    assert _outcome(decode_values, values) == _outcome(_reference_decode_values, values)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -15,8 +16,10 @@ from mellin_cipher.cipher import (
     transform_coefficients,
 )
 from mellin_cipher.errors import (
+    CipherToolkitError,
     InvalidParameter,
     LengthMismatch,
+    NonAlphabetCharacter,
     NonPositiveInput,
     NotDivisible,
     ValueOutOfRange,
@@ -360,3 +363,80 @@ def test_recover_s_matches_reference_on_arbitrary_pairs(pairs, max_s):
     ciphertext = CipherText(tuple(residue for _, residue in pairs))
     quotients = [quotient for quotient, _ in pairs]
     assert recover_s(ciphertext, quotients, max_s) == _reference_recover_s(ciphertext, quotients, max_s)
+
+
+# The per-element checks that the min/max checks and the translate table
+# replaced, kept as references. Each returns what the constructor stores.
+
+
+def _reference_ciphertext(residues):
+    for index, residue in enumerate(residues):
+        if not 1 <= residue <= 26:
+            raise ValueOutOfRange(residue, f"residue at index {index}")
+    return residues
+
+
+def _reference_cipher_key(s, quotients):
+    if s < 1:
+        raise InvalidParameter(f"secret parameter s must be >= 1, got {s}")
+    for index, quotient in enumerate(quotients):
+        if quotient < 0:
+            raise ValueOutOfRange(quotient, f"quotient at index {index} (must be >= 0)")
+    return s, quotients
+
+
+def _reference_from_letters(text):
+    # the old encode_text(text, fold_case=False), which named the context "plaintext"
+    values = []
+    for index, char in enumerate(text):
+        if not "A" <= char <= "Z":
+            raise NonAlphabetCharacter(char, index, "ciphertext")
+        values.append(ord(char) - ord("A") + 1)
+    return tuple(values)
+
+
+def _checked(function, *args):
+    try:
+        return function(*args)
+    except CipherToolkitError as exc:
+        # the attribute types tell False from 0
+        return type(exc), str(exc), [(k, type(v), v) for k, v in vars(exc).items()]
+
+
+# mostly in range, then every kind of value a check must name
+_wide_ints = st.one_of(
+    st.sampled_from([-1, 0, 1, 26, 27]),
+    st.integers(-300, 300),
+    st.integers(min_value=2**63),
+    st.integers(max_value=-(2**63)),
+    st.booleans(),
+)
+
+
+@given(st.lists(st.one_of(st.integers(1, 26), _wide_ints), max_size=40).map(tuple))
+@settings(max_examples=300)
+def test_ciphertext_check_matches_reference(residues):
+    expected = _checked(_reference_ciphertext, residues)
+    assert _checked(lambda: CipherText(residues).residues) == expected
+
+
+@given(
+    st.one_of(st.integers(-3, 70), st.booleans()),
+    st.lists(st.one_of(st.integers(0, 10**30), _wide_ints), max_size=40).map(tuple),
+)
+@settings(max_examples=300)
+def test_cipher_key_check_matches_reference(s, quotients):
+    expected = _checked(_reference_cipher_key, s, quotients)
+    assert _checked(lambda: dataclasses.astuple(CipherKey(s, quotients))) == expected
+
+
+_letters_and_others = st.one_of(
+    st.sampled_from(ALPHABET), st.sampled_from("azß ÄÿĀ\x00"), st.characters()
+)
+
+
+@given(st.text(alphabet=_letters_and_others, max_size=40))
+@settings(max_examples=300)
+def test_from_letters_matches_reference(text):
+    expected = _checked(_reference_from_letters, text)
+    assert _checked(lambda: CipherText.from_letters(text).residues) == expected

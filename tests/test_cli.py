@@ -265,6 +265,55 @@ def test_decrypt_key_field_past_digit_limit(workdir, capsys, digit_limit, field)
     assert not (workdir / "pt.txt").exists()
 
 
+_LONG = 5000  # characters in the rejected field: far more than a message quotes
+
+
+@pytest.mark.parametrize(
+    "key_bytes, message",
+    [
+        (
+            b"MELLIN-KEY-V1\n" + b"x" * _LONG + b"\nn=0\n",
+            "line 2: expected 's=<int>', got 'xxxxxxxxxxxxxxxxxxxx'...",
+        ),
+        (
+            b"MELLIN-KEY-V1\ns=4\n" + b"y" * _LONG + b"\n",
+            "line 3: expected 'n=<int>', got 'yyyyyyyyyyyyyyyyyyyy'...",
+        ),
+        (
+            EXAMPLE_KEY_BYTES.replace(b"q2=23", b"q9=" + b"1" * _LONG),
+            "line 5: expected 'q2=' prefix, got 'q9=11111111111111111'...",
+        ),
+        (
+            EXAMPLE_KEY_BYTES.replace(b"q2=23", b"q2=x" + b"0" * _LONG),
+            "line 5: non-canonical integer 'x0000000000000000000'...",
+        ),
+        (
+            EXAMPLE_KEY_BYTES + b"z" * _LONG + b"\n",
+            "unexpected content at line 9: 'zzzzzzzzzzzzzzzzzzzz'...",
+        ),
+    ],
+    ids=["s-line", "n-line", "q-prefix", "non-canonical", "trailing"],
+)
+def test_decrypt_long_key_line_is_quoted_short(workdir, capsys, key_bytes, message):
+    (workdir / "key.mk").write_bytes(key_bytes)
+    (workdir / "ct.txt").write_bytes(b"JBHDN\n")
+    code = main(
+        [
+            "decrypt",
+            "--key",
+            str(workdir / "key.mk"),
+            "--in",
+            str(workdir / "ct.txt"),
+            "--out",
+            str(workdir / "pt.txt"),
+        ]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 500
+    assert err == f"mellin-cipher: {message}\n"
+
+
 def test_decrypt_malformed_key_file(workdir):
     run_encrypt(workdir)
     (workdir / "key.mk").write_bytes(b"NOT-A-KEY\n")
@@ -421,6 +470,16 @@ def test_recover_s_empty(workdir, capsys):
     )
     assert code == EXIT_OK
     assert capsys.readouterr().out.split() == ["1", "2", "3"]
+
+
+def test_recover_s_empty_lists_every_s(workdir, capsys):
+    (workdir / "empty.txt").write_bytes(b"\n")
+    code = main(
+        ["recover-s", "--in", str(workdir / "empty.txt"), "--quotients", "", "--max-s", "1000000"]
+    )
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == "".join(f"{s}\n" for s in range(1, 1000001))
 
 
 def test_recover_s_length_mismatch(workdir):

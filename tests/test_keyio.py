@@ -206,6 +206,11 @@ def test_ciphertext_round_trip_property(residues):
 _REFERENCE_CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
 
 
+def _reference_quote(text):
+    # messages quote a key line, or a field of one, up to 20 characters
+    return repr(text[:20]) + ("..." if len(text) > 20 else "")
+
+
 def _reference_write_key(key):
     try:
         lines = [KEY_MAGIC, f"s={key.s}", f"n={len(key.quotients)}"]
@@ -233,12 +238,12 @@ def _reference_read_key(data):
     if len(lines) < 3:
         raise BadField(len(lines) + 1, "missing s= or n= line")
     if not lines[1].startswith("s="):
-        raise BadField(2, f"expected 's=<int>', got {lines[1]!r}")
+        raise BadField(2, f"expected 's=<int>', got {_reference_quote(lines[1])}")
     s = _reference_parse_int(lines[1][2:], 2)
     if s < 1:
         raise BadField(2, f"secret parameter s must be >= 1, got {s}")
     if not lines[2].startswith("n="):
-        raise BadField(3, f"expected 'n=<int>', got {lines[2]!r}")
+        raise BadField(3, f"expected 'n=<int>', got {_reference_quote(lines[2])}")
     count = _reference_parse_int(lines[2][2:], 3)
     quotients = []
     for offset, line in enumerate(lines[3:], start=4):
@@ -246,10 +251,10 @@ def _reference_read_key(data):
         if index > count:
             if line.startswith("q"):
                 raise CountMismatch(f"declared n={count} but found more quotient lines")
-            raise TrailingGarbage(f"unexpected content at line {offset}: {line!r}")
+            raise TrailingGarbage(f"unexpected content at line {offset}: {_reference_quote(line)}")
         prefix = f"q{index}="
         if not line.startswith(prefix):
-            raise BadField(offset, f"expected {prefix!r} prefix, got {line!r}")
+            raise BadField(offset, f"expected {prefix!r} prefix, got {_reference_quote(line)}")
         quotients.append(_reference_parse_int(line[len(prefix) :], offset))
     if len(quotients) != count:
         raise CountMismatch(f"declared n={count} but found {len(quotients)} quotient lines")
@@ -330,3 +335,36 @@ def test_readers_raise_only_toolkit_errors(data):
             reader(data)
         except CipherToolkitError:
             pass
+
+
+def _reference_read_ciphertext(data):
+    # the per-byte loop that the translate table replaced
+    if b"\r" in data:
+        raise BadField(1, "CR not allowed")
+    newline = data.find(b"\n")
+    if newline == -1:
+        raise BadField(1, "missing trailing newline")
+    if newline != len(data) - 1:
+        raise TrailingGarbage(f"content after line 1 (byte offset {newline + 1})")
+    for offset, byte in enumerate(data[:newline]):
+        if not ord("A") <= byte <= ord("Z"):
+            raise NonAlphabetCharacter(chr(byte), offset, "ciphertext")
+    return CipherText(tuple(byte - ord("A") + 1 for byte in data[:newline]))
+
+
+# letters, lowercase, bytes >= 0x80 (each is one latin-1 character) and any byte
+_ciphertext_bytes = st.one_of(
+    st.sampled_from(ALPHABET.encode() + b"az \x00\x7f\x80\xc4\xdf\xff"), st.integers(0, 255)
+)
+
+
+@given(
+    st.one_of(
+        st.lists(_ciphertext_bytes, max_size=40).map(lambda line: bytes(line) + b"\n"),
+        mutated(ciphertext_files),
+        st.binary(max_size=40),
+    )
+)
+@settings(max_examples=400)
+def test_read_ciphertext_matches_reference(data):
+    assert _outcome(read_ciphertext, data) == _outcome(_reference_read_ciphertext, data)
