@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .alphabet import _letter_values, decode_values, encode_text
@@ -142,8 +143,8 @@ def encrypt(plaintext: str, s: int, fold_case: bool = True) -> tuple[CipherText,
         if pair is None:
             pair = memo[value] = split_mod26(value * weight)
         pairs.append(pair)
-    quotients, residues = zip(*pairs) if pairs else ((), ())
-    return CipherText(residues), CipherKey(s, quotients)
+    residues = tuple(map(itemgetter(1), pairs))  # not zip(*pairs): n iterators wake the GC
+    return CipherText(residues), CipherKey(s, tuple(map(itemgetter(0), pairs)))
 
 
 def decrypt(ciphertext: CipherText, key: CipherKey) -> str:

@@ -102,10 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_plaintext(path: str) -> str:
+def _read_plaintext(path: str, fold_case: bool) -> str:
     with open(path, "rb") as handle:
         # editors append one LF; anything beyond that must fail validation
-        return handle.read().removesuffix(b"\n").decode("ascii")
+        data = handle.read().removesuffix(b"\n")
+    # bytes.upper folds a..z alone: byte 0xDF is rejected as chr(0xDF), never uppercased to SS
+    return (data.upper() if fold_case else data).decode("latin-1")  # byte i is chr(byte i)
 
 
 def _write_all_or_none(outputs: list[tuple[str, bytes]]) -> None:
@@ -150,7 +152,7 @@ def _cmd_encrypt(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    ciphertext, key = encrypt(_read_plaintext(args.infile), args.s, fold_case=args.fold_case)
+    ciphertext, key = encrypt(_read_plaintext(args.infile, args.fold_case), args.s, fold_case=False)
     _write_all_or_none(
         [(args.keyfile, keyio.write_key(key)), (args.outfile, keyio.write_ciphertext(ciphertext))]
     )
@@ -224,9 +226,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"mellin-cipher: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except UnicodeDecodeError as exc:
-        print(f"mellin-cipher: invalid input: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except CipherToolkitError as exc:
         print(f"mellin-cipher: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -39,6 +39,9 @@ from .errors import (
 )
 
 KEY_MAGIC = "MELLIN-KEY-V1"
+_KEY_MAGIC = KEY_MAGIC.encode()
+_DIGITS = b"0123456789"
+_LAYOUT = b"MELLIN-KEY-V\ns=\nn=\n"  # a key's first three lines with their digits deleted
 
 _CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
 
@@ -49,18 +52,14 @@ def _too_wide() -> str:
 
 def write_key(key: CipherKey) -> bytes:
     """Serialize a key to its canonical byte form."""
-    tails: dict[int, str] = {}  # a key repeats each quotient once per schedule period
-    try:
-        parts = [f"{KEY_MAGIC}\ns={key.s}\nn={len(key.quotients)}\n"]
-        for index, quotient in enumerate(key.quotients, start=1):
-            tail = tails.get(quotient)
-            if tail is None:
-                tail = tails[quotient] = f"={quotient}\n"
-            parts.append(f"q{index}")
-            parts.append(tail)
+    count = len(key.quotients)
+    lines = b"q%d=%%b\n" * count % tuple(range(1, count + 1))
+    template = _KEY_MAGIC + b"\ns=%%d\nn=%d\n" % count + lines
+    try:  # a key repeats each quotient once per schedule period, so format each once
+        digits = {quotient: b"%d" % quotient for quotient in set(key.quotients)}
+        return template % (key.s, *map(digits.__getitem__, key.quotients))
     except ValueError:  # int -> str refuses integers past the digit limit
         raise KeyFormatError(f"cannot write key: an integer has {_too_wide()}") from None
-    return "".join(parts).encode("ascii")
 
 
 def _parse_int(text: str, line: int) -> int:
@@ -85,7 +84,38 @@ def _split_lines(data: bytes, context: str) -> list[str]:
 
 
 def read_key(data: bytes) -> CipherKey:
-    """Parse key file bytes; exact inverse of :func:`write_key`."""
+    """Parse key file bytes; exact inverse of :func:`write_key`.
+
+    A key exactly as :func:`write_key` writes it is checked whole by C-level
+    passes over ``data`` and each distinct quotient text is parsed once; any
+    other input goes to the per-line reader, which names the fault.
+    """
+    # magic, s, <s>, n, <n>, then q<i>, <q_i> for each quotient line, then what follows the last LF
+    fields = bytes(data).replace(b"\n", b"=").split(b"=")  # bytes, not bytearray: fields are hashed
+    count = (len(fields) - 6) // 2
+    if (
+        data.translate(None, _DIGITS) != _LAYOUT + b"q=\n" * count  # so 2 * count + 6 fields
+        or fields[:2] != [_KEY_MAGIC, b"s"]
+        or fields[3:5] != [b"n", b"%d" % count]
+        or b"=".join(fields[5::2]) != b"q%d=" * count % tuple(range(1, count + 1))  # empty tail
+    ):
+        return _read_key_lines(data)
+    texts = fields[6::2]
+    parsed = dict.fromkeys(texts)
+    limit = sys.get_int_max_str_digits() or len(data)  # 0 is no limit
+    for text in (fields[2], *parsed):
+        if not 0 < len(text) <= limit or (text != b"0" and text.startswith(b"0")):
+            return _read_key_lines(data)
+    s = int(fields[2])
+    if s < 1:
+        return _read_key_lines(data)
+    for text in parsed:
+        parsed[text] = int(text)
+    return CipherKey(s, tuple(map(parsed.__getitem__, texts)))
+
+
+def _read_key_lines(data: bytes) -> CipherKey:
+    """Parse a key line by line, raising the error that names its first fault."""
     if not data:
         raise BadMagic("empty key file")
     lines = _split_lines(data, "key file")

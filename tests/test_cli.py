@@ -108,6 +108,25 @@ def test_encrypt_rejects_interior_whitespace(workdir):
     assert run_encrypt(workdir, infile="bad2.txt") == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "plaintext, message",
+    [
+        (b"H\xc4LLO\n", "non-alphabet character '\xc4' at index 1 in plaintext"),  # latin-1
+        (b"H\xc3\x84LLO\n", "non-alphabet character '\xc3' at index 1 in plaintext"),  # UTF-8
+        (b"HE LL\xc4\n", "non-alphabet character ' ' at index 2 in plaintext"),  # first fault
+        (b"STRA\xdfE\n", "non-alphabet character '\xdf' at index 4 in plaintext"),  # not SS
+        (b"STRA\xffE\n", "non-alphabet character '\xff' at index 4 in plaintext"),  # not U+0178
+    ],
+    ids=["latin-1", "utf-8", "ascii-first", "sharp-s", "y-diaeresis"],
+)
+@pytest.mark.parametrize("fold", ["--fold-case", "--no-fold-case"])
+def test_encrypt_non_ascii_names_byte(workdir, capsys, plaintext, message, fold):
+    (workdir / "bad.txt").write_bytes(plaintext)
+    assert run_encrypt(workdir, infile="bad.txt", extra=(fold,)) == EXIT_DATA
+    assert capsys.readouterr().err == f"mellin-cipher: {message}\n"
+    assert not (workdir / "ct.txt").exists() and not (workdir / "key.mk").exists()
+
+
 def test_encrypt_s_bounds(workdir):
     assert run_encrypt(workdir, s="0") == EXIT_USAGE
     assert run_encrypt(workdir, s="65") == EXIT_USAGE

@@ -1,8 +1,11 @@
+import contextlib
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mellin_cipher import keyio
 from mellin_cipher.alphabet import ALPHABET
 from mellin_cipher.cipher import CipherKey, CipherText, encrypt
 from mellin_cipher.errors import (
@@ -335,6 +338,101 @@ def test_readers_raise_only_toolkit_errors(data):
             reader(data)
         except CipherToolkitError:
             pass
+
+
+@contextlib.contextmanager
+def int_digits(limit):
+    """Run the block under another int <-> str digit limit (0: none), then restore it."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+_KEY = b"MELLIN-KEY-V1\ns=4\nn=2\nq1=7\nq2=23\n"
+
+
+# Inputs that a check of the whole layout could wrongly accept: each must give the per-line
+# reader's result, or its exception with the same message and .line.
+@pytest.mark.parametrize(
+    "data",
+    [
+        _KEY,
+        _KEY + b"7",  # a digit after the final LF
+        _KEY + b"q3=5",  # a line after the final LF
+        _KEY + b"\n",
+        b"MELLIN-KEY-V1=s=1\nn=0\n",  # '=' and LF swapped
+        b"MELLIN-KEY-V1\ns=1=n\n0\n",
+        b"MELLIN-KEY-V1\ns=4\nn=2\nq2=23\nq1=7\n",  # swapped line numbers
+        b"MELLIN-KEY-V1\ns=4\nn=2\nq=7\n1q2=23\n",  # a line number moved to the next line
+        b"MELLIN-KEY-V1\ns=4\nn=2\nq12=7\nq=23\n",
+        b"MELLIN-KEY-V1\ns=4\nn=2\nq1=7\nq2=23\nq3=5\n",  # declared n below the line count
+        b"MELLIN-KEY-V1\ns=4\nn=3\nq1=7\nq2=23\n",  # declared n above it
+        b"MELLIN-KEY-V1\ns=4\nn=02\nq1=7\nq2=23\n",
+        b"MELLIN-KEY-V1\ns=4\nn=\nq1=7\nq2=23\n",
+        b"MELLIN-KEY-V1\ns=4\nn=0\n",  # n=0
+        b"MELLIN-KEY-V1\ns=4\nn=0\nq1=7\n",
+        b"MELLIN-KEY-V2\ns=4\nn=0\n",  # digits in a line head
+        b"MELLIN-KEY-V11\ns=4\nn=0\n",
+        b"1MELLIN-KEY-V1\ns=4\nn=0\n",
+        b"MELLIN-KEY-V1\n1s=4\nn=0\n",
+        b"MELLIN-KEY-V1\ns1=4\nn=0\n",
+        b"MELLIN-KEY-V1\ns=4\n0n=0\n",
+        b"MELLIN-KEY-V1\ns=4\nn1=0\n",
+        b"MELLIN-KEY-V1\ns=0\nn=0\n",  # integers: out of range, non-canonical, empty
+        b"MELLIN-KEY-V1\ns=04\nn=0\n",
+        b"MELLIN-KEY-V1\ns=\nn=0\n",
+        b"MELLIN-KEY-V1\ns=4\nn=2\nq1=07\nq2=23\n",
+        b"MELLIN-KEY-V1\ns=4\nn=2\nq1=7\nq2=\n",
+        b"MELLIN-KEY-V1\ns=4\nn=2\nq1=0\nq2=0\n",
+        b"MELLIN-KEY-V1\ns=4\r\nn=0\n",  # bytes outside the layout
+        b"MELLIN-KEY-V1\ns=4\nn=1\nq1=\xb9\n",
+        b"",  # too short to hold the layout
+        b"\n",
+        b"MELLIN-KEY-V1\ns=",
+        b"MELLIN-KEY-V1\ns=4\nn",
+        b"MELLIN-KEY-V1\ns=4\nn=",
+        bytearray(_KEY),
+    ],
+)
+def test_read_key_layout_cases_match_reference(data):
+    assert _outcome(read_key, data) == _outcome(_reference_read_key, data)
+
+
+@pytest.mark.parametrize(
+    "s, quotient, line",
+    [("4", "9" * 640, None), ("4", "9" * 641, 5), ("9" * 641, "7", 2)],
+    ids=["at-limit", "quotient-past", "s-past"],
+)
+def test_read_key_follows_lowered_digit_limit(s, quotient, line):
+    data = f"MELLIN-KEY-V1\ns={s}\nn=2\nq1=7\nq2={quotient}\n".encode()
+    with int_digits(640):  # the least the interpreter allows
+        outcome = _outcome(read_key, data)
+        assert outcome == _outcome(_reference_read_key, data)
+    if line is None:
+        assert outcome == CipherKey(4, (7, int(quotient)))
+    else:
+        assert outcome[0] is BadField and outcome[2]["line"] == line
+
+
+@given(repetitive_keys(), st.sampled_from([0, 640, 4300]))
+@settings(max_examples=200)
+def test_read_key_reads_written_keys_whole(key, limit):
+    """A key as write_key writes it is read without the per-line reader."""
+
+    def per_line_reader(data):
+        raise AssertionError("per-line reader called on a written key")
+
+    with int_digits(limit):
+        try:
+            data = write_key(key)
+        except KeyFormatError:  # a quotient past this limit
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(keyio, "_read_key_lines", per_line_reader)
+            assert read_key(data) == key
 
 
 def _reference_read_ciphertext(data):
