@@ -3,7 +3,8 @@
 The convention is A=1, B=2, ..., Z=26. The cipher represents every mod-26
 residue in 1..26 so each residue maps back to a letter; this module owns
 that alphabet and nothing else. Anything outside 'A'..'Z' is rejected,
-never dropped or substituted. Both directions check and translate in C.
+never dropped or substituted. Both directions check and translate in C;
+the cipher checks its letter values here too.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ def encode_text(text: str, fold_case: bool = True) -> list[int]:
     return list(_letter_values(text.upper() if fold_case else text, "plaintext"))
 
 
-def decode_values(values: Iterable[int]) -> str:
-    """Inverse of :func:`encode_text` on sequences of values in 1..26."""
+def _checked_values(values: Iterable[int], where: str) -> bytes:
+    """The values 1..26 as bytes; a non-int value raises ``TypeError`` from ``bytes()``."""
     values = values if isinstance(values, Sequence) else list(values)  # a failure rereads them
     try:
         data = bytes(values)
@@ -44,5 +45,10 @@ def decode_values(values: Iterable[int]) -> str:
         data = b"\0"
     if data.translate(None, delete=_VALUES):  # what is left is out of range
         index, value = next((i, v) for i, v in enumerate(values) if not 1 <= v <= 26)
-        raise ValueOutOfRange(value, f"value at index {index}")
-    return data.translate(_TO_LETTERS).decode()
+        raise ValueOutOfRange(value, f"{where} at index {index}")
+    return data
+
+
+def decode_values(values: Iterable[int]) -> str:
+    """Inverse of :func:`encode_text` on sequences of values in 1..26."""
+    return _checked_values(values, "value").translate(_TO_LETTERS).decode()

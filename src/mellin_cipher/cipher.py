@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .alphabet import _letter_values, decode_values, encode_text
+from .alphabet import _checked_values, _letter_values, decode_values, encode_text
 from .errors import (
     InvalidParameter,
     LengthMismatch,
@@ -40,10 +40,7 @@ class CipherText:
     residues: tuple[int, ...]
 
     def __post_init__(self):
-        residues = self.residues
-        if residues and not (1 <= min(residues) and max(residues) <= MODULUS):
-            index, residue = next((i, r) for i, r in enumerate(residues) if not 1 <= r <= MODULUS)
-            raise ValueOutOfRange(residue, f"residue at index {index}")
+        _checked_values(self.residues, "residue")
 
     @classmethod
     def from_letters(cls, text: str) -> "CipherText":
@@ -109,12 +106,10 @@ def _schedule_slots(s: int, n: int) -> Iterator[tuple[int, dict]]:
 
 def transform_coefficients(plain: Sequence[int], s: int) -> list[int]:
     """Scale each letter value by the factorial of its schedule exponent."""
-    coefficients = []
-    for index, ((weight, _), value) in enumerate(zip(_schedule_slots(s, len(plain)), plain)):
-        if not 1 <= value <= MODULUS:
-            raise ValueOutOfRange(value, f"plaintext value at index {index}")
-        coefficients.append(value * weight)
-    return coefficients
+    slots = _schedule_slots(s, len(plain))
+    exponent_schedule(s, 0)  # a bad s is named before a bad value
+    values = _checked_values(plain, "plaintext value")
+    return [value * weight for (weight, _), value in zip(slots, values)]
 
 
 def split_mod26(n: int) -> tuple[int, int]:

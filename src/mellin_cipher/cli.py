@@ -164,9 +164,7 @@ def _cmd_decrypt(args) -> int:
         key = keyio.read_key(handle.read())
     with open(args.infile, "rb") as handle:
         ciphertext = keyio.read_ciphertext(handle.read())
-    plaintext = decrypt(ciphertext, key)
-    with open(args.outfile, "wb") as handle:
-        handle.write(plaintext.encode("ascii") + b"\n")
+    _write_all_or_none([(args.outfile, decrypt(ciphertext, key).encode("ascii") + b"\n")])
     return EXIT_OK
 
 
@@ -176,7 +174,7 @@ def _cmd_verify_transform(args) -> int:
     if args.n_max < 1 or args.s_max < 1:
         print("mellin-cipher: error: --n-max and --s-max must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.tol <= 0:
+    if not args.tol > 0:  # NaN too
         print("mellin-cipher: error: --tol must be > 0", file=sys.stderr)
         return EXIT_USAGE
     failures = 0

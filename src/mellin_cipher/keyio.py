@@ -24,7 +24,6 @@ only on the bytes, never on locale or platform.
 
 from __future__ import annotations
 
-import re
 import sys
 
 from .cipher import CipherKey, CipherText
@@ -42,8 +41,6 @@ KEY_MAGIC = "MELLIN-KEY-V1"
 _KEY_MAGIC = KEY_MAGIC.encode()
 _DIGITS = b"0123456789"
 _LAYOUT = b"MELLIN-KEY-V\ns=\nn=\n"  # a key's first three lines with their digits deleted
-
-_CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
 
 
 def _too_wide() -> str:
@@ -63,7 +60,7 @@ def write_key(key: CipherKey) -> bytes:
 
 
 def _parse_int(text: str, line: int) -> int:
-    if _CANONICAL_INT.fullmatch(text) is None:
+    if not (text.isdigit() and (text == "0" or text[0] != "0")):  # text is ASCII
         raise NonCanonicalInteger(line, text)
     try:
         return int(text)

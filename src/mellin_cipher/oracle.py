@@ -98,7 +98,7 @@ def numeric_mellin(
 
 
 def _check_tol(tol: float) -> None:
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise InvalidParameter(f"tolerance must be > 0, got {tol}")
 
 
@@ -116,8 +116,8 @@ def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
     integrated with the Gauss-Laguerre rule rescaled to the weight exp(-a*x)
     (nodes x_k/a, weights w_k/a) and compared against a^(-s) * (s+n-1)!.
     """
-    if a <= 0:
-        raise InvalidScale(f"scale factor must be > 0, got {a}")
+    if not 0 < a < math.inf:  # NaN and inf too
+        raise InvalidScale(f"scale factor must be finite and > 0, got {a}")
     if n < 1 or s < 1:
         raise InvalidParameter(f"n and s must be >= 1, got n={n}, s={s}")
     _check_tol(tol)

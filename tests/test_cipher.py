@@ -1,8 +1,9 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mellin_cipher.alphabet import ALPHABET, decode_values, encode_text
 from mellin_cipher.cipher import (
@@ -418,6 +419,53 @@ _wide_ints = st.one_of(
 def test_ciphertext_check_matches_reference(residues):
     expected = _checked(_reference_ciphertext, residues)
     assert _checked(lambda: CipherText(residues).residues) == expected
+
+
+def _reference_transform_coefficients(plain, s):
+    # the loop transform_coefficients ran before the alphabet checked its values
+    coefficients = []
+    for index, (exponent, value) in enumerate(zip(exponent_schedule(s, len(plain)), plain)):
+        if not 1 <= value <= 26:
+            raise ValueOutOfRange(value, f"plaintext value at index {index}")
+        coefficients.append(value * math.factorial(exponent))
+    return coefficients
+
+
+# 26 * 20! overflows int64, so the reference scales a numpy array exactly only up to s = 18
+@given(
+    st.one_of(
+        st.lists(st.one_of(st.integers(1, 26), _wide_ints), max_size=40),
+        st.just(np.array([1, 26])),
+    ),
+    st.integers(-3, 18),
+)
+@example([0], 0)
+@example([27, 1], -1)
+@example([True, False], 3)
+@example(np.array([1, 26]), 18)
+@example(np.array([1, 26]), 0)
+@settings(max_examples=300)
+def test_transform_coefficients_matches_reference(plain, s):
+    expected = _checked(_reference_transform_coefficients, plain, s)
+    result = _checked(transform_coefficients, plain, s)
+    assert result == expected
+    if isinstance(result, list):
+        assert {type(c) for c in result} <= {int}  # exact Python ints, numpy input or not
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CipherText((1.5,)),
+        lambda: CipherText((1.0,)),
+        lambda: CipherText((3, 1.5)),
+        lambda: transform_coefficients([1.5], 3),
+    ],
+    ids=["residue-1.5", "residue-1.0", "residue-after-int", "plaintext-1.5"],
+)
+def test_non_int_value_is_type_error(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 @given(

@@ -261,6 +261,52 @@ def test_encrypt_keeps_file_modes(workdir):
     assert sorted(p.name for p in workdir.iterdir()) == ["ct.txt", "hello.txt", "key.mk"]
 
 
+def run_decrypt(workdir, out="pt.txt"):
+    args = ["--key", str(workdir / "key.mk"), "--in", str(workdir / "ct.txt")]
+    return main(["decrypt", *args, "--out", str(workdir / out)])
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ("nodir/pt.txt", "[Errno 2] No such file or directory"),
+        ("adir", "[Errno 21] Is a directory"),
+    ],
+    ids=["dir-missing", "out-is-dir"],
+)
+def test_decrypt_failed_write_changes_no_file(workdir, capsys, out, message):
+    run_encrypt(workdir)
+    (workdir / "adir").mkdir()
+    before = _tree(workdir)
+    assert run_decrypt(workdir, out) == EXIT_IO
+    assert capsys.readouterr().err == f"mellin-cipher: i/o error: {message}: {str(workdir / out)!r}\n"
+    assert _tree(workdir) == before  # no temp file left
+
+
+def test_decrypt_failed_replace_leaves_no_temp_file(workdir, capsys, monkeypatch):
+    run_encrypt(workdir)
+    (workdir / "pt.txt").write_bytes(b"OLD\n")
+    before = _tree(workdir)
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device", dst)
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert run_decrypt(workdir) == EXIT_IO
+    assert capsys.readouterr().err.count("\n") == 1
+    assert _tree(workdir) == before  # the old plaintext stays, no temp file is left
+
+
+def test_decrypt_keeps_file_mode(workdir):
+    run_encrypt(workdir)
+    (workdir / "pt.txt").write_bytes(b"OLD\n")
+    (workdir / "pt.txt").chmod(0o600)
+    assert run_decrypt(workdir) == EXIT_OK
+    assert stat.S_IMODE((workdir / "pt.txt").stat().st_mode) == 0o600
+    assert (workdir / "pt.txt").read_bytes() == b"HELLO\n"
+    assert sorted(p.name for p in workdir.iterdir()) == ["ct.txt", "hello.txt", "key.mk", "pt.txt"]
+
+
 @pytest.mark.parametrize("field", [b"s=4", b"q1=7"], ids=["s", "q1"])
 def test_decrypt_key_field_past_digit_limit(workdir, capsys, digit_limit, field):
     run_encrypt(workdir)
@@ -371,8 +417,10 @@ def test_verify_transform_impossible_tol_fails(capsys):
     assert any(line.endswith("FAIL") for line in out.splitlines())
 
 
-def test_verify_transform_rejects_bad_tol():
-    assert main(["verify-transform", "--tol", "-1"]) == EXIT_USAGE
+def test_verify_transform_rejects_bad_tol(capsys):
+    for tol in ["-1", "nan"]:
+        assert main(["verify-transform", "--tol", tol]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "mellin-cipher: error: --tol must be > 0\n")
 
 
 def test_recover_s_worked_example(workdir, capsys):

@@ -199,16 +199,21 @@ _SINGLE_FAULTS = [
     ("gamma_identity_check", {"n": 0}, InvalidParameter),
     ("gamma_identity_check", {"s": 0}, InvalidParameter),
     ("gamma_identity_check", {"tol": 0.0}, InvalidParameter),
+    ("gamma_identity_check", {"tol": math.nan}, InvalidParameter),
     ("gamma_identity_check", {"s": 40}, ExactnessBoundExceeded),  # degree 41
     ("scaling_check", {"n": 0}, InvalidParameter),
     ("scaling_check", {"s": 0}, InvalidParameter),
     ("scaling_check", {"tol": 0.0}, InvalidParameter),
+    ("scaling_check", {"tol": math.nan}, InvalidParameter),
     ("scaling_check", {"a": 0.0}, InvalidScale),
     ("scaling_check", {"a": -1.0}, InvalidScale),
+    ("scaling_check", {"a": math.nan}, InvalidScale),
+    ("scaling_check", {"a": math.inf}, InvalidScale),
     ("scaling_check", {"s": 40}, ExactnessBoundExceeded),  # degree 41
     ("shift_check", {"n": 0}, InvalidParameter),
     ("shift_check", {"s": 0}, InvalidParameter),
     ("shift_check", {"tol": 0.0}, InvalidParameter),
+    ("shift_check", {"tol": math.nan}, InvalidParameter),
     ("shift_check", {"a": -1}, InvalidParameter),
     ("shift_check", {"s": 39}, ExactnessBoundExceeded),  # degree 39 + 1 + 2 - 1 = 41
 ]
