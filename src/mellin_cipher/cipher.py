@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
 
 from .alphabet import _checked_values, _letter_values, decode_values, encode_text
 from .errors import (
@@ -33,14 +32,50 @@ from .errors import (
 MODULUS = 26
 
 
-@dataclass(frozen=True)
-class CipherText:
+class _Record:
+    """Immutable record whose fields are its ``__slots__``.
+
+    Equality (same class only), hashing, the ``Name(field=value, ...)``
+    repr, pickling and copying all follow the slots. Each subclass
+    validates and stores its fields in an ``__init__`` of its own; after
+    that, assigning or deleting a field raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CipherText(_Record):
     """Sequence of mod-26 residues, each represented in 1..26."""
 
-    residues: tuple[int, ...]
+    __slots__ = ("residues",)
 
-    def __post_init__(self):
-        _checked_values(self.residues, "residue")
+    def __init__(self, residues: tuple[int, ...]):
+        _checked_values(residues, "residue")
+        object.__setattr__(self, "residues", residues)
 
     @classmethod
     def from_letters(cls, text: str) -> "CipherText":
@@ -55,19 +90,19 @@ class CipherText:
         return len(self.residues)
 
 
-@dataclass(frozen=True)
-class CipherKey:
+class CipherKey(_Record):
     """Private key: the secret parameter s plus one quotient per position."""
 
-    s: int
-    quotients: tuple[int, ...] = field(default_factory=tuple)
+    __slots__ = ("s", "quotients")
 
-    def __post_init__(self):
-        if self.s < 1:
-            raise InvalidParameter(f"secret parameter s must be >= 1, got {self.s}")
-        if self.quotients and min(self.quotients) < 0:
-            index, quotient = next((i, q) for i, q in enumerate(self.quotients) if q < 0)
+    def __init__(self, s: int, quotients: tuple[int, ...] = ()):
+        if s < 1:
+            raise InvalidParameter(f"secret parameter s must be >= 1, got {s}")
+        if quotients and min(quotients) < 0:
+            index, quotient = next((i, q) for i, q in enumerate(quotients) if q < 0)
             raise ValueOutOfRange(quotient, f"quotient at index {index} (must be >= 0)")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "quotients", quotients)
 
     def __len__(self) -> int:
         return len(self.quotients)

@@ -14,7 +14,7 @@ import errno
 import os
 import stat
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import keyio
 from .cipher import encrypt, decrypt, recover_s

@@ -25,25 +25,28 @@ rescaled rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
+from .cipher import _Record
 from .errors import ExactnessBoundExceeded, InvalidParameter, InvalidScale
 
 DEFAULT_EXACTNESS_BOUND = 40
 LOG_SPACE_EXACTNESS_BOUND = 300
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Record):
     """A numeric integral next to its exact factorial reference."""
 
-    numeric: float
-    exact: int
-    relative_error: float
+    __slots__ = ("numeric", "exact", "relative_error")
+
+    def __init__(self, numeric: float, exact: int, relative_error: float):
+        object.__setattr__(self, "numeric", numeric)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "relative_error", relative_error)
 
     @classmethod
     def from_numeric(cls, numeric: float, exact: int) -> "OracleResult":
@@ -108,6 +111,38 @@ def gamma_identity_check(n: int, s: int, tol: float) -> bool:
     return numeric_mellin(n, s).relative_error <= tol
 
 
+@lru_cache(maxsize=None)
+def _log_scale_range(n: int, s: int) -> tuple[float, float]:
+    """The open interval of log(a) in which every value scaling_check forms
+    stays a normal double: within a factor e of the largest double, and a
+    factor 1/epsilon above the smallest normal one, so that any term lost to
+    underflow is below rounding in the sum.
+
+    Each such value is exp(c - k*log(a)) for a c and k of the rule and the
+    degree: the smallest and largest node x/a, the smallest weight w/a (the
+    last one), the largest integrand value (a*x)^n * x^(s-1), a^(-s) and the
+    reference a^(-s) * (s+n-1)!. At s=1 the integrand does not depend on a
+    (k=0); its largest value, below 75^40, fits.
+    """
+    degree = s + n - 1
+    nodes, weights = _laguerre_rule(_auto_node_count(degree))
+    log_first, log_last = math.log(nodes[0]), math.log(nodes[-1])
+    values = [
+        (log_first, 1),
+        (log_last, 1),
+        (math.log(weights[-1]), 1),
+        (degree * log_last, s - 1),
+        (0.0, s),
+        (math.lgamma(degree + 1), s),
+    ]
+    low = math.log(sys.float_info.min / sys.float_info.epsilon)
+    high = math.log(sys.float_info.max) - 1
+    return (
+        max((c - high) / k for c, k in values if k),
+        min((c - low) / k for c, k in values if k),
+    )
+
+
 def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
     """Verify the scaling property: transforming exp(-a*x)*(a*x)^n at s
     multiplies the unscaled value by a^(-s).
@@ -115,6 +150,8 @@ def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
     The integrand is exp(-a*x) times a polynomial of degree s+n-1, so it is
     integrated with the Gauss-Laguerre rule rescaled to the weight exp(-a*x)
     (nodes x_k/a, weights w_k/a) and compared against a^(-s) * (s+n-1)!.
+    A scale under which a node, a weight, the integrand or the reference
+    would leave the range of normal doubles raises :class:`InvalidScale`.
     """
     if not 0 < a < math.inf:  # NaN and inf too
         raise InvalidScale(f"scale factor must be finite and > 0, got {a}")
@@ -124,6 +161,9 @@ def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
     degree = s + n - 1
     if degree > DEFAULT_EXACTNESS_BOUND:
         raise ExactnessBoundExceeded(degree, DEFAULT_EXACTNESS_BOUND)
+    low, high = _log_scale_range(n, s)
+    if not low < math.log(a) < high:
+        raise InvalidScale(f"scale factor {a} takes n={n}, s={s} outside the double range")
     nodes, weights = _laguerre_rule(_auto_node_count(degree))
     x = nodes / a
     numeric = float((weights / a) @ ((a * x) ** n * x ** (s - 1)))

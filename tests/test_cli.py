@@ -530,6 +530,28 @@ def test_only_verify_transform_loads_numpy(workdir, capsys):
     assert (cold.stdout, cold.stderr) == (warm.out, warm.err + "True\n")
 
 
+def test_cold_commands_skip_heavy_imports(workdir):
+    # without site (-S), the commands load none of these; site itself may import typing
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from mellin_cipher.cli import main\n"
+        "codes = [\n"
+        "    main(['encrypt', '--s', '4', '--in', 'hello.txt', '--out', 'ct.txt', '--key-out', 'key.mk']),\n"
+        "    main(['decrypt', '--key', 'key.mk', '--in', 'ct.txt', '--out', 'pt.txt']),\n"
+        "    main(['recover-s', '--in', 'ct.txt', '--quotients', '7,23,332,2326,23261', '--max-s', '8']),\n"
+        "]\n"
+        "heavy = ('dataclasses', 'inspect', 'typing', 'numpy')\n"
+        "print(codes, [name for name in heavy if name in sys.modules], file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], cwd=workdir, capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "4\n", "[0, 0, 0] []\n")
+    assert (workdir / "pt.txt").read_bytes() == b"HELLO\n"
+
+
 def test_recover_s_empty(workdir, capsys):
     (workdir / "empty.txt").write_bytes(b"\n")
     code = main(

@@ -122,6 +122,19 @@ def test_scaling_check_rejects_bad_scale():
         scaling_check(-2.0, 1, 1, 1e-8)
 
 
+@pytest.mark.parametrize("a", [1e200, 1e-200, 1e300, 1e-300])
+def test_scaling_check_rejects_scale_outside_double_range(a):
+    # the nodes x/a or the reference a^(-s) * (s+n-1)! would overflow or underflow
+    with pytest.raises(InvalidScale):
+        scaling_check(a, 2, 3, 1e-9)
+
+
+@pytest.mark.parametrize("a", [1e100, 1e-100, 1e200, 1e-200])
+def test_scaling_check_extreme_scale_in_range(a):
+    # at s=1, n=1 the nodes, the weights and the reference stay well inside it
+    assert scaling_check(a, 1, 1, 1e-9)
+
+
 def test_import_loads_numpy_alone():
     # numpy is the package's only runtime dependency; a fresh import loads no other package
     src = str(Path(mellin_cipher.__file__).resolve().parents[1])
