@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
-from operator import itemgetter
+from collections.abc import Callable, Iterable, Sequence
+from operator import getitem, itemgetter, mul
 
 from .alphabet import _checked_values, _letter_values, decode_values, encode_text
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     NonPositiveInput,
     NotDivisible,
     ValueOutOfRange,
+    _render_int,
 )
 
 MODULUS = 26
@@ -90,17 +91,23 @@ class CipherText(_Record):
         return len(self.residues)
 
 
+def _check_s(s: int) -> None:
+    if s < 1:
+        raise InvalidParameter(f"secret parameter s must be >= 1, got {s}")
+
+
 class CipherKey(_Record):
     """Private key: the secret parameter s plus one quotient per position."""
 
     __slots__ = ("s", "quotients")
 
     def __init__(self, s: int, quotients: tuple[int, ...] = ()):
-        if s < 1:
-            raise InvalidParameter(f"secret parameter s must be >= 1, got {s}")
+        _check_s(s)
         if quotients and min(quotients) < 0:
             index, quotient = next((i, q) for i, q in enumerate(quotients) if q < 0)
-            raise ValueOutOfRange(quotient, f"quotient at index {index} (must be >= 0)")
+            error = ValueOutOfRange(quotient)  # its own text names the letter range 1..26
+            error.args = (f"quotient at index {index} is {_render_int(quotient)}, must be >= 0",)
+            raise error
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "quotients", quotients)
 
@@ -114,37 +121,55 @@ def exponent_schedule(s: int, n: int) -> list[int]:
     Position i (1-based) gets exponent s + ((i-1) mod (s+1)), cycling
     through s..2s with period s+1.
     """
-    if s < 1:
-        raise InvalidParameter(f"secret parameter s must be >= 1, got {s}")
+    _check_s(s)
     if n < 0:
         raise InvalidParameter(f"schedule length must be >= 0, got {n}")
     return list(itertools.islice(itertools.cycle(range(s, 2 * s + 1)), n))
 
 
-def _schedule_slots(s: int, n: int) -> Iterator[tuple[int, dict]]:
-    """Lazily yield ``(e!, memo)`` for each exponent e of ``exponent_schedule(s, n)``.
+def _weights(s: int) -> Callable[[int], int]:
+    """``weight(slot) = (s + slot)!``, the factorial of schedule slot 0..s.
 
-    The schedule takes at most s+1 distinct exponents, first in increasing
-    order, so each slot is built once: s! directly, every later factorial
-    from its predecessor, each with an empty dict in which the caller keeps
-    what it has already computed under that factorial. A slot is built only
-    when a position first reaches it, so a caller that stops early (a
-    corrupted key, say) has paid for no factorial beyond that position, and
-    a memo holds entries only for the positions reached.
+    The table grows on demand and in slot order: s! by one ``math.factorial``,
+    each later slot from its predecessor. A caller that stops early (a
+    corrupted key, say) has paid for no factorial past the slots it reached,
+    and one that reaches none has paid for none.
     """
-    table: list[tuple[int, dict]] = []
-    for exponent in exponent_schedule(s, min(n, s + 1)):  # validates s and n
-        table.append((table[-1][0] * exponent if table else math.factorial(s), {}))
-        yield table[-1]
-    yield from itertools.islice(itertools.cycle(table), n - len(table))
+    _check_s(s)
+    table: list[int] = []
+
+    def weight(slot: int) -> int:
+        while len(table) <= slot:
+            table.append(table[-1] * (s + len(table)) if table else math.factorial(s))
+        return table[slot]
+
+    return weight
+
+
+class _Memo(dict):
+    """A dict whose missing key is filled with ``compute(key)``.
+
+    A lookup that hits runs in C, so ``map(memo.__getitem__, keys)`` costs
+    no Python frame per repeat; only a miss calls ``compute``.
+    """
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 def transform_coefficients(plain: Sequence[int], s: int) -> list[int]:
     """Scale each letter value by the factorial of its schedule exponent."""
-    slots = _schedule_slots(s, len(plain))
-    exponent_schedule(s, 0)  # a bad s is named before a bad value
+    count = len(plain)
+    weight = _weights(s)  # a bad s is named before a bad value
     values = _checked_values(plain, "plaintext value")
-    return [value * weight for (weight, _), value in zip(slots, values)]
+    weights = [weight(slot) for slot in range(min(count, s + 1))]
+    return list(map(mul, values, itertools.cycle(weights)))
 
 
 def split_mod26(n: int) -> tuple[int, int]:
@@ -167,12 +192,13 @@ def encrypt(plaintext: str, s: int, fold_case: bool = True) -> tuple[CipherText,
     per-position quotients). Deterministic: equal inputs give equal outputs.
     """
     values = encode_text(plaintext, fold_case=fold_case)
-    pairs = []
-    for (weight, memo), value in zip(_schedule_slots(s, len(values)), values):
-        pair = memo.get(value)
-        if pair is None:
-            pair = memo[value] = split_mod26(value * weight)
-        pairs.append(pair)
+    weight = _weights(s)
+    # every slot is reached, so each gets its own memo, keyed by letter value
+    memos = [
+        _Memo(lambda value, slot=slot: split_mod26(value * weight(slot)))
+        for slot in range(min(len(values), s + 1))
+    ]
+    pairs = list(map(getitem, itertools.cycle(memos), values))
     residues = tuple(map(itemgetter(1), pairs))  # not zip(*pairs): n iterators wake the GC
     return CipherText(residues), CipherKey(s, tuple(map(itemgetter(0), pairs)))
 
@@ -189,22 +215,26 @@ def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
         raise LengthMismatch(
             f"ciphertext has {len(ciphertext)} letters but key has {len(key)} quotients"
         )
-    values = []
-    for position, ((divisor, memo), quotient, residue) in enumerate(
-        zip(_schedule_slots(key.s, len(ciphertext)), key.quotients, ciphertext.residues),
-        start=1,
-    ):
-        value = memo.get((quotient, residue))
-        if value is None:
-            coefficient = quotient * MODULUS + residue
-            value, remainder = divmod(coefficient, divisor)
-            if remainder != 0:
-                raise NotDivisible(position, coefficient, divisor)
-            if not 1 <= value <= MODULUS:
-                raise ValueOutOfRange(value, f"recovered value at position {position}")
-            memo[quotient, residue] = value
-        values.append(value)
-    return decode_values(values)
+    s, quotients, residues = key.s, key.quotients, ciphertext.residues
+    weight = _weights(s)
+
+    def recover(entry: tuple[int, int, int]) -> int:
+        slot, quotient, residue = entry
+        coefficient = quotient * MODULUS + residue
+        value, remainder = divmod(coefficient, weight(slot))
+        if remainder == 0 and 1 <= value <= MODULUS:
+            return value
+        # Positions are looked up in order and a failing entry is never
+        # memoised, so the fault is this slot's first position holding the pair.
+        for index in range(slot, len(quotients), s + 1):
+            if quotients[index] == quotient and residues[index] == residue:
+                break
+        if remainder != 0:
+            raise NotDivisible(index + 1, coefficient, weight(slot))
+        raise ValueOutOfRange(value, f"recovered value at position {index + 1}")
+
+    entries = zip(itertools.cycle(range(s + 1)), quotients, residues)
+    return decode_values(bytes(map(_Memo(recover).__getitem__, entries)))
 
 
 def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> set[int]:

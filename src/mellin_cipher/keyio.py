@@ -24,6 +24,7 @@ only on the bytes, never on locale or platform.
 
 from __future__ import annotations
 
+import functools
 import sys
 
 from .cipher import CipherKey, CipherText
@@ -47,10 +48,16 @@ def _too_wide() -> str:
     return f"more than {sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
 
 
+@functools.lru_cache(maxsize=1)  # consecutive keys of one length share their heads
+def _heads(count: int) -> bytes:
+    """The quotient line heads of a ``count``-line key, run together: ``q1=q2=...``."""
+    return b"q%d=" * count % tuple(range(1, count + 1))
+
+
 def write_key(key: CipherKey) -> bytes:
     """Serialize a key to its canonical byte form."""
     count = len(key.quotients)
-    lines = b"q%d=%%b\n" * count % tuple(range(1, count + 1))
+    lines = _heads(count).replace(b"=", b"=%b\n")
     template = _KEY_MAGIC + b"\ns=%%d\nn=%d\n" % count + lines
     try:  # a key repeats each quotient once per schedule period, so format each once
         digits = {quotient: b"%d" % quotient for quotient in set(key.quotients)}
@@ -94,7 +101,7 @@ def read_key(data: bytes) -> CipherKey:
         data.translate(None, _DIGITS) != _LAYOUT + b"q=\n" * count  # so 2 * count + 6 fields
         or fields[:2] != [_KEY_MAGIC, b"s"]
         or fields[3:5] != [b"n", b"%d" % count]
-        or b"=".join(fields[5::2]) != b"q%d=" * count % tuple(range(1, count + 1))  # empty tail
+        or b"=".join(fields[5::2]) != _heads(count)  # and an empty tail
     ):
         return _read_key_lines(data)
     texts = fields[6::2]

@@ -23,6 +23,7 @@ from mellin_cipher.errors import (
     NonPositiveInput,
     NotDivisible,
     ValueOutOfRange,
+    _render_int,
 )
 
 plaintexts = st.text(alphabet=ALPHABET, max_size=64)
@@ -267,6 +268,8 @@ def test_encrypt_and_decrypt_compute_one_factorial(monkeypatch):
     assert calls == [64]
     assert decrypt(ciphertext, key) == plaintext
     assert calls == [64, 64]
+    transform_coefficients(encode_text(plaintext), 64)
+    assert calls == [64, 64, 64]
 
 
 # The per-position loop and the full 1..max_s scan that the schedule
@@ -341,6 +344,13 @@ def test_encrypt_matches_reference(plaintext, s):
 
 
 @given(tampered())
+# (0, 1) decrypts at slot 0 and is not divisible by 2! at slot 1
+@example((CipherText((1, 1)), CipherKey(1, (0, 0))))
+# position 8, in the third period, repeats at slot 1 the pair (1, 6) that
+# decrypts at slot 0 (position 4); every other pair is valid
+@example((CipherText((2, 6, 24, 6, 6, 24, 2, 6)), CipherKey(2, (0, 0, 0, 1, 0, 0, 0, 1))))
+# 27 recovered at position 3, slot 0's second position
+@example((CipherText((1, 2, 1)), CipherKey(1, (0, 0, 1))))
 @settings(max_examples=300)
 def test_decrypt_matches_reference(case):
     ciphertext, key = case
@@ -381,7 +391,9 @@ def _reference_cipher_key(s, quotients):
         raise InvalidParameter(f"secret parameter s must be >= 1, got {s}")
     for index, quotient in enumerate(quotients):
         if quotient < 0:
-            raise ValueOutOfRange(quotient, f"quotient at index {index} (must be >= 0)")
+            error = ValueOutOfRange(quotient)
+            error.args = (f"quotient at index {index} is {_render_int(quotient)}, must be >= 0",)
+            raise error
     return s, quotients
 
 
