@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
-from operator import getitem, itemgetter, mul
+from operator import mul
 
-from .alphabet import _checked_values, _letter_values, decode_values, encode_text
+from .alphabet import _checked_values, _letter_values, decode_values
 from .errors import (
     InvalidParameter,
     LengthMismatch,
@@ -191,16 +191,15 @@ def encrypt(plaintext: str, s: int, fold_case: bool = True) -> tuple[CipherText,
     Returns the ciphertext residues and the private key (s plus the
     per-position quotients). Deterministic: equal inputs give equal outputs.
     """
-    values = encode_text(plaintext, fold_case=fold_case)
-    weight = _weights(s)
-    # every slot is reached, so each gets its own memo, keyed by letter value
-    memos = [
-        _Memo(lambda value, slot=slot: split_mod26(value * weight(slot)))
-        for slot in range(min(len(values), s + 1))
-    ]
-    pairs = list(map(getitem, itertools.cycle(memos), values))
-    residues = tuple(map(itemgetter(1), pairs))  # not zip(*pairs): n iterators wake the GC
-    return CipherText(residues), CipherKey(s, tuple(map(itemgetter(0), pairs)))
+    values = _letter_values(plaintext.upper() if fold_case else plaintext, "plaintext")
+    weight, residues, quotients = _weights(s), bytearray(len(values)), [0] * len(values)
+    for slot in range(min(len(values), s + 1)):  # a slot's column shares its factorial
+        column, residue_of, quotient_of = values[slot :: s + 1], bytearray(256), [0] * 27
+        for value in set(column):  # split each value the column holds, and only those
+            quotient_of[value], residue_of[value] = split_mod26(value * weight(slot))
+        residues[slot :: s + 1] = column.translate(residue_of)
+        quotients[slot :: s + 1] = map(quotient_of.__getitem__, column)
+    return CipherText(tuple(residues)), CipherKey(s, tuple(quotients))
 
 
 def decrypt(ciphertext: CipherText, key: CipherKey) -> str:

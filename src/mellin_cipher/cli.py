@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import math
 import os
 import stat
 import sys
 from collections.abc import Sequence
 
 from . import keyio
+from .alphabet import encode_text
 from .cipher import encrypt, decrypt, recover_s
 from .errors import CipherToolkitError, _quote
 
@@ -27,6 +29,7 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 
 DEFAULT_MAX_S_PARAM = 64
+_CHUNK = 1 << 16  # candidates per write when recover-s lists every s
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,7 +155,14 @@ def _cmd_encrypt(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    ciphertext, key = encrypt(_read_plaintext(args.infile, args.fold_case), args.s, fold_case=False)
+    plaintext = _read_plaintext(args.infile, args.fold_case)
+    limit = sys.get_int_max_str_digits()  # 0 is no limit
+    # Each quotient is at least (s! - 26) / 26, so none fits the limit once log10(s!) > limit + 3;
+    # skip the factorial then. Past 10**300 (not a float) log10(s!) is larger still.
+    if plaintext and limit and math.lgamma(min(args.s, 10**300) + 1) / math.log(10) > limit + 3:
+        encode_text(plaintext, fold_case=False)  # a bad letter is named first, as encrypt names it
+        raise keyio._unwritable()
+    ciphertext, key = encrypt(plaintext, args.s, fold_case=False)
     _write_all_or_none(
         [(args.keyfile, keyio.write_key(key)), (args.outfile, keyio.write_ciphertext(ciphertext))]
     )
@@ -199,6 +209,11 @@ def _cmd_recover_s(args) -> int:
         return EXIT_USAGE
     with open(args.infile, "rb") as handle:
         ciphertext = keyio.read_ciphertext(handle.read())
+    if not args.quotients and not len(ciphertext):  # every s decrypts it: list them without a set
+        for start in range(1, args.max_s + 1, _CHUNK):
+            stop = min(start + _CHUNK, args.max_s + 1)
+            sys.stdout.write("".join(map("{}\n".format, range(start, stop))))
+        return EXIT_OK
     candidates = sorted(recover_s(ciphertext, args.quotients, args.max_s))
     sys.stdout.writelines(f"{s}\n" for s in candidates)
     return EXIT_OK

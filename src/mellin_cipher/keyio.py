@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import sys
 
-from .cipher import CipherKey, CipherText
+from .cipher import CipherKey, CipherText, _Memo
 from .errors import (
     BadField,
     BadMagic,
@@ -48,22 +48,24 @@ def _too_wide() -> str:
     return f"more than {sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
 
 
-@functools.lru_cache(maxsize=1)  # consecutive keys of one length share their heads
-def _heads(count: int) -> bytes:
-    """The quotient line heads of a ``count``-line key, run together: ``q1=q2=...``."""
-    return b"q%d=" * count % tuple(range(1, count + 1))
+def _unwritable() -> KeyFormatError:
+    return KeyFormatError(f"cannot write key: an integer has {_too_wide()}")
+
+
+@functools.lru_cache(maxsize=1)  # consecutive keys of one length share their layout
+def _layout(count: int) -> tuple[bytes, bytes]:
+    """A ``count``-line key's quotient line heads run together (``q1=q2=...``), and its template."""
+    heads = b"q%d=" * count % tuple(range(1, count + 1))
+    return heads, _KEY_MAGIC + b"\ns=%%d\nn=%d\n" % count + heads.replace(b"=", b"=%b\n")
 
 
 def write_key(key: CipherKey) -> bytes:
     """Serialize a key to its canonical byte form."""
-    count = len(key.quotients)
-    lines = _heads(count).replace(b"=", b"=%b\n")
-    template = _KEY_MAGIC + b"\ns=%%d\nn=%d\n" % count + lines
     try:  # a key repeats each quotient once per schedule period, so format each once
-        digits = {quotient: b"%d" % quotient for quotient in set(key.quotients)}
-        return template % (key.s, *map(digits.__getitem__, key.quotients))
+        digits = map(_Memo(b"%d".__mod__).__getitem__, key.quotients)
+        return _layout(len(key.quotients))[1] % (key.s, *digits)
     except ValueError:  # int -> str refuses integers past the digit limit
-        raise KeyFormatError(f"cannot write key: an integer has {_too_wide()}") from None
+        raise _unwritable() from None
 
 
 def _parse_int(text: str, line: int) -> int:
@@ -91,7 +93,7 @@ def read_key(data: bytes) -> CipherKey:
     """Parse key file bytes; exact inverse of :func:`write_key`.
 
     A key exactly as :func:`write_key` writes it is checked whole by C-level
-    passes over ``data`` and each distinct quotient text is parsed once; any
+    passes over ``data`` and each distinct integer text is parsed once; any
     other input goes to the per-line reader, which names the fault.
     """
     # magic, s, <s>, n, <n>, then q<i>, <q_i> for each quotient line, then what follows the last LF
@@ -101,21 +103,15 @@ def read_key(data: bytes) -> CipherKey:
         data.translate(None, _DIGITS) != _LAYOUT + b"q=\n" * count  # so 2 * count + 6 fields
         or fields[:2] != [_KEY_MAGIC, b"s"]
         or fields[3:5] != [b"n", b"%d" % count]
-        or b"=".join(fields[5::2]) != _heads(count)  # and an empty tail
+        or b"=".join(fields[5::2]) != _layout(count)[0]  # and an empty tail
     ):
         return _read_key_lines(data)
-    texts = fields[6::2]
-    parsed = dict.fromkeys(texts)
-    limit = sys.get_int_max_str_digits() or len(data)  # 0 is no limit
-    for text in (fields[2], *parsed):
-        if not 0 < len(text) <= limit or (text != b"0" and text.startswith(b"0")):
-            return _read_key_lines(data)
-    s = int(fields[2])
-    if s < 1:
+    parsed = _Memo(lambda text: _parse_int(text.decode(), 0))  # the per-line reader names the line
+    try:
+        s, quotients = parsed[fields[2]], tuple(map(parsed.__getitem__, fields[6::2]))
+    except KeyFormatError:
         return _read_key_lines(data)
-    for text in parsed:
-        parsed[text] = int(text)
-    return CipherKey(s, tuple(map(parsed.__getitem__, texts)))
+    return CipherKey(s, quotients) if s >= 1 else _read_key_lines(data)
 
 
 def _read_key_lines(data: bytes) -> CipherKey:

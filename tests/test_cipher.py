@@ -1,9 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mellin_cipher import cipher
 from mellin_cipher.alphabet import ALPHABET, decode_values, encode_text
 from mellin_cipher.cipher import (
     CipherKey,
@@ -341,6 +343,33 @@ def tampered(draw):
 @settings(max_examples=200)
 def test_encrypt_matches_reference(plaintext, s):
     assert encrypt(plaintext, s) == _reference_encrypt(plaintext, s)
+
+
+@pytest.mark.parametrize("fold_case", [True, False])
+def test_encrypt_matches_reference_at_column_edges(fold_case):
+    # encrypt fills each slot's column values[slot::s+1] at once; these lengths end a column
+    # after its first entry, just before or after a full period, or one into the third period
+    rng = random.Random(11)
+    for s in range(1, 71):
+        for n in sorted({0, 1, s, s + 1, s + 2, 2 * (s + 1) + 1}):
+            plaintext = "".join(rng.choices("ABMNYZ", k=n))  # few values, so columns repeat them
+            shown = plaintext.lower() if fold_case else plaintext
+            assert encrypt(shown, s, fold_case) == _reference_encrypt(plaintext, s), (s, n)
+
+
+def test_encrypt_splits_each_slot_value_once(monkeypatch):
+    calls = []
+    split = cipher.split_mod26
+    monkeypatch.setattr(cipher, "split_mod26", lambda n: calls.append(n) or split(n))
+    encrypt("AB", 3000)  # two slots of 3001, one value each: no table of 26 per slot
+    assert calls == [math.factorial(3000), 2 * math.factorial(3001)]
+    calls.clear()
+    plaintext = "ABBAZZAB" * 5 + "C"
+    encrypt(plaintext, 3)
+    pairs = {(i % 4, letter) for i, letter in enumerate(plaintext)}
+    assert sorted(calls) == sorted(
+        (ord(letter) - 64) * math.factorial(3 + slot) for slot, letter in pairs
+    )
 
 
 @given(tampered())

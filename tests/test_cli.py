@@ -1,3 +1,5 @@
+import hashlib
+import math
 import os
 import stat
 import subprocess
@@ -204,6 +206,40 @@ def test_encrypt_key_past_digit_limit_writes_nothing(workdir, capsys, digit_limi
     assert f"more than {digit_limit} digits" in err
     assert not (workdir / "ct.txt").exists()
     assert not (workdir / "key.mk").exists()
+
+
+@pytest.mark.parametrize("s", ["1560", "1000000", str(10**19)])
+def test_encrypt_rejects_unwritable_s_before_any_factorial(workdir, capsys, monkeypatch, digit_limit, s):
+    # the gate starts at s = 1560 (every quotient then has more than 4300 digits); 10**19 is past
+    # what math.factorial accepts
+    monkeypatch.setattr(math, "factorial", lambda k: pytest.fail(f"factorial({k}) computed"))
+    assert run_encrypt(workdir, s=s, extra=("--max-s-param", s)) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"mellin-cipher: cannot write key: an integer has more than {digit_limit} digits "
+        "(sys.get_int_max_str_digits())\n"
+    )
+    assert not (workdir / "ct.txt").exists()
+    assert not (workdir / "key.mk").exists()
+    (workdir / "bad.txt").write_bytes(b"HE LO\n")  # a bad letter is still named first
+    assert run_encrypt(workdir, s=s, infile="bad.txt", extra=("--max-s-param", s)) == EXIT_DATA
+    assert "index 2" in capsys.readouterr().err
+    (workdir / "empty.txt").write_bytes(b"\n")  # no quotient, so any s can be written
+    assert run_encrypt(workdir, s=s, infile="empty.txt", extra=("--max-s-param", s)) == EXIT_OK
+    assert (workdir / "key.mk").read_bytes() == b"MELLIN-KEY-V1\ns=%b\nn=0\n" % s.encode()
+
+
+def test_encrypt_leaves_borderline_s_to_the_key_writer(workdir, capsys, monkeypatch, digit_limit):
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda k: calls.append(k) or factorial(k))
+    (workdir / "a.txt").write_bytes(b"A\n")  # its one quotient is s! / 26 - 1
+    for s, code in (("1558", EXIT_OK), ("1559", EXIT_DATA)):  # 4298 digits, then 4302
+        assert run_encrypt(workdir, s=s, infile="a.txt", extra=("--max-s-param", "2000")) == code
+    assert f"more than {digit_limit} digits" in capsys.readouterr().err
+    assert calls == [1558, 1559]
+    sys.set_int_max_str_digits(0)  # no limit, so no gate; the fixture restores it
+    assert run_encrypt(workdir, s="1600", infile="a.txt", extra=("--max-s-param", "2000")) == EXIT_OK
+    assert calls == [1558, 1559, 1600]
 
 
 def _tree(root):
@@ -569,6 +605,36 @@ def test_recover_s_empty_lists_every_s(workdir, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert out == "".join(f"{s}\n" for s in range(1, 1000001))
+
+
+def test_recover_s_empty_streams_under_a_memory_limit(workdir):
+    # a set of 3 * 10**6 candidates needs about 280 MB; the child may grow by 64 MB
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm for the child's address space")
+    (workdir / "empty.txt").write_bytes(b"\n")
+    code = (
+        "import os, resource, sys\n"
+        "from mellin_cipher.cli import main\n"
+        "with open('/proc/self/statm') as f:\n"
+        "    size = int(f.read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (64 << 20), hard))\n"
+        "sys.exit(main(['recover-s', '--in', 'empty.txt', '--quotients', '', '--max-s', '3000000']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with open(workdir / "out.txt", "wb") as out:
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=workdir,
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=out,
+            stderr=subprocess.PIPE,
+        )
+    assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+    expected = hashlib.sha256()
+    for start in range(1, 3_000_001, 100_000):
+        expected.update("".join(f"{s}\n" for s in range(start, start + 100_000)).encode())
+    assert hashlib.sha256((workdir / "out.txt").read_bytes()).digest() == expected.digest()
 
 
 def test_recover_s_length_mismatch(workdir):

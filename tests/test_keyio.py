@@ -401,6 +401,47 @@ def test_read_key_layout_cases_match_reference(data):
     assert _outcome(read_key, data) == _outcome(_reference_read_key, data)
 
 
+# HELLO twice under s=4: each quotient text appears once in each schedule period
+_PERIODIC = b"MELLIN-KEY-V1\ns=4\nn=10\n" + b"".join(
+    b"q%d=%d\n" % (i, q) for i, q in enumerate((7, 23, 332, 2326, 23261) * 2, start=1)
+)
+
+
+# read_key parses each distinct text once; a fault in any repeat must still reach the per-line
+# reader, and give its result or its exception with the same message and .line
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"", b""),
+        (b"q1=7\n", b"q1=07\n"),  # a leading zero in the first repeat of 7
+        (b"q6=7\n", b"q6=07\n"),  # in the second
+        (b"q7=23\n", b"q7=2x\n"),  # a non-digit in the second repeat of 23
+        (b"q7=23\n", b"q7=+23\n"),
+        (b"q7=23\n", "q7=\uff123\n".encode()),  # a fullwidth 2, a digit to str.isdigit
+        (b"s=4\n", b"s=0\n"),
+        (b"s=4\n", b"s=7\n"),
+        (b"q3=332\n", b"q3\n332="),  # '=' and LF swapped
+        (b"q4=", b"q5="),  # a head index off by one
+        (b"q4=", b"q3="),
+    ],
+)
+def test_read_key_matches_per_line_reader_on_mutated_keys(old, new):
+    data = _PERIODIC.replace(old, new, 1)
+    assert _outcome(read_key, data) == _outcome(keyio._read_key_lines, data)
+    if old == new:
+        assert data == write_key(encrypt("HELLO" * 2, 4)[1])
+
+
+@pytest.mark.parametrize("over", [0, 1])
+@pytest.mark.parametrize("old", [b"=23261\n", b"s=4\n"], ids=["quotient", "s"])
+def test_read_key_matches_per_line_reader_at_digit_limit(digit_limit, over, old):
+    wide = b"9" * (digit_limit + over)
+    data = _PERIODIC.replace(old, old[: old.index(b"=") + 1] + wide + b"\n")  # every repeat
+    outcome = _outcome(read_key, data)
+    assert outcome == _outcome(keyio._read_key_lines, data)
+    assert isinstance(outcome, CipherKey) == (over == 0)
+
+
 @pytest.mark.parametrize(
     "s, quotient, line",
     [("4", "9" * 640, None), ("4", "9" * 641, 5), ("9" * 641, "7", 2)],
