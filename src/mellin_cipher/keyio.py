@@ -40,8 +40,6 @@ from .errors import (
 
 KEY_MAGIC = "MELLIN-KEY-V1"
 _KEY_MAGIC = KEY_MAGIC.encode()
-_DIGITS = b"0123456789"
-_LAYOUT = b"MELLIN-KEY-V\ns=\nn=\n"  # a key's first three lines with their digits deleted
 
 
 def _too_wide() -> str:
@@ -53,10 +51,10 @@ def _unwritable() -> KeyFormatError:
 
 
 @functools.lru_cache(maxsize=1)  # consecutive keys of one length share their layout
-def _layout(count: int) -> tuple[bytes, bytes]:
-    """A ``count``-line key's quotient line heads run together (``q1=q2=...``), and its template."""
-    heads = b"q%d=" * count % tuple(range(1, count + 1))
-    return heads, _KEY_MAGIC + b"\ns=%%d\nn=%d\n" % count + heads.replace(b"=", b"=%b\n")
+def _layout(count: int) -> tuple[list[bytes], bytes]:
+    """A ``count``-line key's quotient line heads (``q1=``, ...), and its template."""
+    heads = [b"q%d=" % index for index in range(1, count + 1)]
+    return heads, _KEY_MAGIC + b"\ns=%%d\nn=%d\n" % count + b"%b\n".join([*heads, b""])
 
 
 def write_key(key: CipherKey) -> bytes:
@@ -92,26 +90,31 @@ def _split_lines(data: bytes, context: str) -> list[str]:
 def read_key(data: bytes) -> CipherKey:
     """Parse key file bytes; exact inverse of :func:`write_key`.
 
-    A key exactly as :func:`write_key` writes it is checked whole by C-level
-    passes over ``data`` and each distinct integer text is parsed once; any
-    other input goes to the per-line reader, which names the fault.
+    A key exactly as :func:`write_key` writes it is split at LF once and
+    each distinct integer text is parsed once; any other input goes to the
+    per-line reader, which names the fault.
     """
-    # magic, s, <s>, n, <n>, then q<i>, <q_i> for each quotient line, then what follows the last LF
-    fields = bytes(data).replace(b"\n", b"=").split(b"=")  # bytes, not bytearray: fields are hashed
-    count = (len(fields) - 6) // 2
-    if (
-        data.translate(None, _DIGITS) != _LAYOUT + b"q=\n" * count  # so 2 * count + 6 fields
-        or fields[:2] != [_KEY_MAGIC, b"s"]
-        or fields[3:5] != [b"n", b"%d" % count]
-        or b"=".join(fields[5::2]) != _layout(count)[0]  # and an empty tail
-    ):
-        return _read_key_lines(data)
-    parsed = _Memo(lambda text: _parse_int(text.decode(), 0))  # the per-line reader names the line
+    data = bytes(data)  # once, for any bytes-like input: both readers need bytes
+    key = _read_written_key(data)
+    return _read_key_lines(data) if key is None else key  # the fast path's lines are freed by now
+
+
+def _read_written_key(data: bytes) -> CipherKey | None:
+    lines = data.split(b"\n")  # magic, s=, n=, the quotient lines, then what follows the last LF
+    count = len(lines) - 4
+    if count < 0 or lines[-1] or lines[0] != _KEY_MAGIC or lines[2] != b"n=%d" % count:
+        return None
+    if len(data) < 4 * count + sum(count + 1 - 10**k for k in range(len(b"%d" % count))):
+        return None  # too short for count lines of q<i>=0 and LF: build no line heads for it
+    parsed = _Memo(lambda text: _parse_int(text.decode("ascii"), 0))  # the per-line reader names it
     try:
-        s, quotients = parsed[fields[2]], tuple(map(parsed.__getitem__, fields[6::2]))
-    except KeyFormatError:
-        return _read_key_lines(data)
-    return CipherKey(s, quotients) if s >= 1 else _read_key_lines(data)
+        s = parsed[lines[1].removeprefix(b"s=")]
+        texts = map(bytes.removeprefix, lines[3:], _layout(count)[0])  # a wrong head keeps its q
+        quotients = tuple(map(parsed.__getitem__, texts))
+    except (KeyFormatError, UnicodeDecodeError):
+        return None
+    # a line that lost its whole head (s= or q<i>=) passed as a text: it is all digits
+    return CipherKey(s, quotients) if s >= 1 and not any(map(bytes.isdigit, lines)) else None
 
 
 def _read_key_lines(data: bytes) -> CipherKey:
@@ -132,8 +135,8 @@ def _read_key_lines(data: bytes) -> CipherKey:
         raise BadField(3, f"expected 'n=<int>', got {_quote(lines[2])}")
     count = _parse_int(lines[2][2:], 3)
 
-    quotients = []
-    parsed: dict[str, int] = {}  # a key repeats each quotient once per schedule period
+    quotients = []  # a key repeats each quotient once per schedule period: parse each text once
+    parsed = _Memo(lambda text: _parse_int(text, offset))  # offset: the line being read
     for offset, line in enumerate(lines[3:], start=4):
         index = offset - 3
         if index > count:
@@ -143,11 +146,7 @@ def _read_key_lines(data: bytes) -> CipherKey:
         prefix = f"q{index}="
         if not line.startswith(prefix):
             raise BadField(offset, f"expected {prefix!r} prefix, got {_quote(line)}")
-        text = line[len(prefix) :]
-        quotient = parsed.get(text)
-        if quotient is None:
-            quotient = parsed[text] = _parse_int(text, offset)
-        quotients.append(quotient)
+        quotients.append(parsed[line[len(prefix) :]])
     if len(quotients) != count:
         raise CountMismatch(f"declared n={count} but found {len(quotients)} quotient lines")
     return CipherKey(s, tuple(quotients))
@@ -164,6 +163,7 @@ def read_ciphertext(data: bytes) -> CipherText:
     Rejects any byte outside 'A'..'Z' before the trailing LF, reporting its
     0-based offset.
     """
+    data = bytes(data)  # any bytes-like input
     if b"\r" in data:
         raise BadField(1, "CR not allowed")
     newline = data.find(b"\n")

@@ -1,6 +1,8 @@
 import contextlib
+import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -394,11 +396,14 @@ _KEY = b"MELLIN-KEY-V1\ns=4\nn=2\nq1=7\nq2=23\n"
         b"MELLIN-KEY-V1\ns=",
         b"MELLIN-KEY-V1\ns=4\nn",
         b"MELLIN-KEY-V1\ns=4\nn=",
-        bytearray(_KEY),
+        bytearray(_KEY),  # bytes-like input: read as bytes(data)
+        memoryview(_KEY),
+        memoryview(b"MELLIN-KEY-V1\ns=0\nn=0\n"),
+        memoryview(b"MELLIN-KEY-V1\ns=4\nn=1\nq1=\xb9\n"),
     ],
 )
 def test_read_key_layout_cases_match_reference(data):
-    assert _outcome(read_key, data) == _outcome(_reference_read_key, data)
+    assert _outcome(read_key, data) == _outcome(_reference_read_key, bytes(data))
 
 
 # HELLO twice under s=4: each quotient text appears once in each schedule period
@@ -423,6 +428,15 @@ _PERIODIC = b"MELLIN-KEY-V1\ns=4\nn=10\n" + b"".join(
         (b"q3=332\n", b"q3\n332="),  # '=' and LF swapped
         (b"q4=", b"q5="),  # a head index off by one
         (b"q4=", b"q3="),
+        (b"q7=23\n", b"q7=2\xff3\n"),  # a non-ASCII byte in the second repeat of 23
+        (b"q7=23\n", b"q7=23\r\n"),
+        (b"q7=23\n", b"q7=\n"),  # an empty text
+        (b"q7=23\n", b"q7==23\n"),
+        (b"q7=23\n", b"23\n"),  # a line without its head: its text is a parsed one
+        (b"s=4\n", b"4\n"),
+        (b"q10=23261\n", b"q10=23261\n\n"),  # a blank line before EOF
+        (b"n=10\n", b"n=010\n"),
+        (b"s=4\n", b"s=4x\n"),
     ],
 )
 def test_read_key_matches_per_line_reader_on_mutated_keys(old, new):
@@ -430,6 +444,44 @@ def test_read_key_matches_per_line_reader_on_mutated_keys(old, new):
     assert _outcome(read_key, data) == _outcome(keyio._read_key_lines, data)
     if old == new:
         assert data == write_key(encrypt("HELLO" * 2, 4)[1])
+
+
+def _traced(function, *args):
+    """The outcome of ``function(*args)`` and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        outcome = _outcome(function, *args)
+        return outcome, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# A header declaring N lines, then N short lines that can hold no quotient line head: the
+# reader must name the fault without building, or caching, the layout of N lines (about 58
+# bytes a line). The bounds are the peaks of the replace-and-translate reader that this one
+# replaced (24.1, 16.2 and 35.4 times the input), rounded down.
+@pytest.mark.parametrize("line, bound", [(b"\n", 24), (b"=\n", 16), (b"q=\n", 35)])
+def test_read_key_builds_no_line_heads_for_a_short_file(line, bound):
+    count = 10**5
+    data = b"MELLIN-KEY-V1\ns=1\nn=%d\n" % count + line * count
+    cached = keyio._layout.cache_info()
+    outcome, peak = _traced(read_key, data)
+    assert outcome == _outcome(keyio._read_key_lines, data)
+    assert outcome[0] is BadField
+    assert peak <= bound * len(data)
+    assert keyio._layout.cache_info() == cached  # neither built nor looked up
+
+
+def test_read_key_peak_memory_on_a_written_key():
+    # 10^5 letters at s=64, about 16 MB: the lines and one text at a time, not copies of the file
+    text = "".join(random.Random(12).choices(ALPHABET, k=10**5))
+    key = encrypt(text, 64)[1]
+    data = write_key(key)
+    outcome, peak = _traced(read_key, data)
+    assert outcome == key
+    assert peak < 1.6 * len(data)
 
 
 @pytest.mark.parametrize("over", [0, 1])
@@ -495,6 +547,13 @@ def _reference_read_ciphertext(data):
 _ciphertext_bytes = st.one_of(
     st.sampled_from(ALPHABET.encode() + b"az \x00\x7f\x80\xc4\xdf\xff"), st.integers(0, 255)
 )
+
+
+@pytest.mark.parametrize("data", [b"JBHDN\n", b"JB\xc4DN\n", b"JB\rHDN\n", b"\n"])
+def test_read_ciphertext_reads_bytes_like_input(data):
+    expected = _outcome(_reference_read_ciphertext, data)
+    assert _outcome(read_ciphertext, memoryview(data)) == expected
+    assert _outcome(read_ciphertext, bytearray(data)) == expected
 
 
 @given(
