@@ -24,9 +24,8 @@ from .keyio import read_ciphertext, read_key, write_ciphertext, write_key
 
 __version__ = "0.1.0"
 
-# The oracle needs numpy; it is imported on first use of one of its names,
-# so the cipher, the key format and every CLI command but verify-transform
-# run without loading numpy.
+# The oracle is imported on first use of one of its names, so the cipher, the key
+# format and every CLI command but verify-transform run without paying its import.
 _ORACLE_NAMES = frozenset(
     {"OracleResult", "gamma_identity_check", "numeric_mellin", "scaling_check", "shift_check"}
 )

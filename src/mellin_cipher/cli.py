@@ -179,7 +179,7 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_verify_transform(args) -> int:
-    from .oracle import numeric_mellin  # the only command that needs numpy
+    from .oracle import numeric_mellin  # the only command that needs the oracle
 
     if args.n_max < 1 or args.s_max < 1:
         print("mellin-cipher: error: --n-max and --s-max must be >= 1", file=sys.stderr)

@@ -27,9 +27,8 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-
-import numpy as np
-from numpy.polynomial.laguerre import laggauss
+from itertools import repeat
+from operator import mul
 
 from .cipher import _Record
 from .errors import ExactnessBoundExceeded, InvalidParameter, InvalidScale
@@ -53,17 +52,56 @@ class OracleResult(_Record):
         return cls(numeric, exact, abs(numeric - exact) / exact)
 
 
-@lru_cache(maxsize=None)
-def _laguerre_rule(node_count: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = laggauss(node_count)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def _auto_node_count(degree: int) -> int:
     # one node beyond the exactness minimum ceil((degree+1)/2)
     return degree // 2 + 2
+
+
+_MAX_NODES = _auto_node_count(LOG_SPACE_EXACTNESS_BOUND)  # 152, the largest rule an allowed degree needs
+_RULES: dict[int, tuple] = {}  # m: nodes, weights, log-nodes and log-weights of the m-node rule
+
+
+def _laguerre_rule(m: int) -> tuple:
+    """The m-node Gauss-Laguerre rule, built after (and from) every smaller one."""
+    for count in range(len(_RULES) + 1, m + 1):
+        _RULES[count] = _build_rule(count)
+    return _RULES[m]
+
+
+def _build_rule(m: int) -> tuple:
+    """Newton's method on the recurrence (j+1) L_{j+1} = (2j+1-x) L_j - j L_{j-1}, started from
+    Numerical Recipes' gaulag guesses (Press et al., section 4.5) up to 6 nodes and beyond from
+    a quadratic extrapolation of the last three rules: of x*(4m+2), which barely moves with m,
+    at the small-end half, of x counted from the last node at the rest. The weight
+    x / (m*L_{m-1}(x))^2 is formed as a log, as L_{m-1} overflows at large x."""
+    steps = [((2 * j + 1) / (j + 1), 1 / (j + 1), j / (j + 1)) for j in range(m)]
+    guesses = []
+    if m > 6:
+        prev = [_RULES[m - k][0] for k in (1, 2, 3)]
+        scaled = (3 * u * (4 * m - 2) - 3 * v * (4 * m - 6) + w * (4 * m - 10) for u, v, w in zip(*prev))
+        guesses = [y / (4 * m + 2) for y in scaled][: m // 2]
+        guesses += [3 * u - 3 * v + w for u, v, w in zip(*(r[::-1] for r in prev))][m - m // 2 - 1 :: -1]
+    nodes, log_weights, z = [], [], 0.0
+    for i in range(m):
+        if guesses:
+            z = guesses[i]
+        elif i < 2:
+            z += 3 / (1 + 2.4 * m) if i == 0 else 15 / (1 + 2.5 * m)
+        else:
+            z += (1 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (z - nodes[i - 2])
+        while True:
+            high, low = 1.0, 0.0  # L_j(z), L_{j-1}(z)
+            for a, b, c in steps:
+                high, low = (a - b * z) * high - c * low, high
+            dz = z * high / (m * (high - low))  # L_m / L_m', as x L_m' = m (L_m - L_{m-1})
+            if abs(dz) <= 1e-13 * z:
+                break
+            z -= dz
+        low -= dz * ((z - m) * low + m * high) / z  # L_{m-1}(z-dz), as x L_{m-1}' = (x-m) L_{m-1} + m L_m
+        z -= dz
+        nodes.append(z)
+        log_weights.append(math.log(z) - 2 * math.log(abs(m * low)))
+    return tuple(nodes), tuple(map(math.exp, log_weights)), tuple(map(math.log, nodes)), tuple(log_weights)
 
 
 def numeric_mellin(
@@ -72,8 +110,8 @@ def numeric_mellin(
     """Integrate exp(-x) * x^n against x^(s-1) and compare to (s+n-1)!.
 
     The node count defaults to one more than polynomial exactness requires;
-    pass ``nodes`` to request a (still exact) larger rule. Exponents beyond
-    40, or 300 in log-space mode, raise :class:`ExactnessBoundExceeded`.
+    pass ``nodes`` (at most 152) for a larger, still exact rule. Exponents
+    beyond 40, or 300 in log-space mode, raise :class:`ExactnessBoundExceeded`.
     """
     if n < 1 or s < 1:
         raise InvalidParameter(f"n and s must be >= 1, got n={n}, s={s}")
@@ -87,11 +125,15 @@ def numeric_mellin(
         raise InvalidParameter(
             f"{node_count} nodes cannot integrate degree {degree} exactly (need >= {minimum})"
         )
-    x, w = _laguerre_rule(node_count)
+    if node_count > _MAX_NODES:
+        raise InvalidParameter(f"{node_count} nodes exceed the largest rule, {_MAX_NODES}")
+    x, w, log_x, log_w = _laguerre_rule(node_count)
     exact = math.factorial(degree)
     if not log_space:
-        return OracleResult.from_numeric(float(w @ x**degree), exact)
-    log_numeric = float(np.logaddexp.reduce(np.log(w) + degree * np.log(x)))
+        return OracleResult.from_numeric(math.fsum(map(mul, w, map(pow, x, repeat(degree)))), exact)
+    terms = [lw + degree * lx for lw, lx in zip(log_w, log_x)]
+    top = max(terms)  # every shifted term is in (0, 1], so a plain sum errs by at most m*epsilon
+    log_numeric = top + math.log(sum([math.exp(t - top) for t in terms]))
     relative_error = abs(math.expm1(log_numeric - math.log(exact)))
     try:
         numeric = math.exp(log_numeric)
@@ -125,13 +167,12 @@ def _log_scale_range(n: int, s: int) -> tuple[float, float]:
     (k=0); its largest value, below 75^40, fits.
     """
     degree = s + n - 1
-    nodes, weights = _laguerre_rule(_auto_node_count(degree))
-    log_first, log_last = math.log(nodes[0]), math.log(nodes[-1])
+    _, _, log_nodes, log_weights = _laguerre_rule(_auto_node_count(degree))
     values = [
-        (log_first, 1),
-        (log_last, 1),
-        (math.log(weights[-1]), 1),
-        (degree * log_last, s - 1),
+        (log_nodes[0], 1),
+        (log_nodes[-1], 1),
+        (log_weights[-1], 1),
+        (degree * log_nodes[-1], s - 1),
         (0.0, s),
         (math.lgamma(degree + 1), s),
     ]
@@ -164,9 +205,9 @@ def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
     low, high = _log_scale_range(n, s)
     if not low < math.log(a) < high:
         raise InvalidScale(f"scale factor {a} takes n={n}, s={s} outside the double range")
-    nodes, weights = _laguerre_rule(_auto_node_count(degree))
-    x = nodes / a
-    numeric = float((weights / a) @ ((a * x) ** n * x ** (s - 1)))
+    nodes, weights, _, _ = _laguerre_rule(_auto_node_count(degree))
+    integrand = [x**n * (x / a) ** (s - 1) for x in nodes]
+    numeric = math.fsum([w / a * f for w, f in zip(weights, integrand)])
     reference = a ** (-s) * math.factorial(degree)
     return abs(numeric - reference) / reference <= tol
 

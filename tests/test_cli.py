@@ -545,7 +545,7 @@ def _fresh_python(workdir, code, *argv):
     )
 
 
-def test_only_verify_transform_loads_numpy(workdir, capsys):
+def test_no_command_loads_numpy(workdir, capsys):
     bare = _fresh_python(workdir, "import sys, mellin_cipher\n" + _REPORT_NUMPY)
     assert (bare.returncode, bare.stderr) == (0, "False\n")
     # the last stderr line says whether the command loaded numpy
@@ -563,7 +563,7 @@ def test_only_verify_transform_loads_numpy(workdir, capsys):
     assert main(["verify-transform", "--n-max", "3", "--s-max", "3"]) == EXIT_OK
     warm = capsys.readouterr()
     assert cold.returncode == EXIT_OK
-    assert (cold.stdout, cold.stderr) == (warm.out, warm.err + "True\n")
+    assert (cold.stdout, cold.stderr) == (warm.out, warm.err + "False\n")
 
 
 def test_cold_commands_skip_heavy_imports(workdir):

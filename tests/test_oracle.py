@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mellin_cipher
+from mellin_cipher import oracle
 from mellin_cipher.errors import (
     CipherToolkitError,
     ExactnessBoundExceeded,
@@ -50,6 +51,42 @@ def test_numeric_mellin_node_budget():
     assert numeric_mellin(6, 6, nodes=7).relative_error < 1e-12
     with pytest.raises(InvalidParameter):
         numeric_mellin(7, 6, nodes=6)
+
+
+def test_numeric_mellin_node_limit(monkeypatch):
+    # 152 nodes serve degree 300 in log space; a larger count is refused before any rule is built
+    assert numeric_mellin(150, 151, nodes=152, log_space=True).relative_error < 1e-9
+    assert numeric_mellin(1, 1, nodes=152).relative_error < 1e-12
+
+    def build(node_count):
+        raise AssertionError(f"built a {node_count}-node rule")
+
+    monkeypatch.setattr(oracle, "_laguerre_rule", build)
+    for nodes in (153, 10**9):
+        with pytest.raises(InvalidParameter, match="exceed"):
+            numeric_mellin(1, 1, nodes=nodes)
+
+
+def test_laguerre_rule_matches_numpy():
+    # differential test against the eigenvalue rule this one replaced
+    laguerre = pytest.importorskip("numpy.polynomial.laguerre")
+    for m in range(1, 153):
+        nodes, weights, log_nodes, log_weights = oracle._laguerre_rule(m)
+        reference_nodes, reference_weights = laguerre.laggauss(m)
+        assert len(nodes) == len(weights) == len(log_nodes) == len(log_weights) == m
+        assert max(abs(x - y) / y for x, y in zip(nodes, reference_nodes)) <= 1e-12, m
+        assert all(
+            abs(w - v) <= 1e-9 * v for w, v in zip(weights, reference_weights) if v > 1e-290
+        ), m
+        assert log_nodes == tuple(map(math.log, nodes))
+        assert weights == tuple(map(math.exp, log_weights))
+
+
+def test_numeric_mellin_worst_error():
+    # the result depends on n and s only through the degree s+n-1
+    assert max(numeric_mellin(1, degree).relative_error for degree in range(1, 41)) <= 1e-12
+    worst_log = max(numeric_mellin(1, degree, log_space=True).relative_error for degree in range(1, 301))
+    assert worst_log <= 1e-11
 
 
 def test_gamma_identity_grid():
@@ -135,11 +172,26 @@ def test_scaling_check_extreme_scale_in_range(a):
     assert scaling_check(a, 1, 1, 1e-9)
 
 
+def test_scaling_check_guard_over_every_double_scale():
+    # every call gives a verdict or InvalidScale, never a float error; subnormal scales included
+    scales = [10 ** (-320 + 628 * k / 599) for k in range(600)]
+    verdicts = 0
+    for a in scales:
+        for n in range(1, 7):
+            for s in range(1, 7):
+                try:
+                    assert scaling_check(a, n, s, 1e-8) is True, (a, n, s)
+                except InvalidScale:
+                    continue
+                verdicts += 1
+    assert 0 < verdicts < len(scales) * 36
+
+
 def test_import_loads_numpy_alone():
-    # numpy is the package's only runtime dependency; a fresh import loads no other package
+    # the package has no runtime dependency; a fresh import loads no other package, the oracle included
     src = str(Path(mellin_cipher.__file__).resolve().parents[1])
     probe = (
-        "import sys; before = set(sys.modules); import mellin_cipher; "
+        "import sys; before = set(sys.modules); import mellin_cipher.oracle; "
         "print(*{m.split('.')[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names))"
     )
     result = subprocess.run(
@@ -149,7 +201,7 @@ def test_import_loads_numpy_alone():
         text=True,
         check=True,
     )
-    assert set(result.stdout.split()) <= {"mellin_cipher", "numpy"}
+    assert set(result.stdout.split()) <= {"mellin_cipher"}
 
 
 def test_shift_check_known():
