@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable, Sequence
 from operator import mul
 
@@ -74,7 +75,8 @@ class CipherText(_Record):
 
     __slots__ = ("residues",)
 
-    def __init__(self, residues: tuple[int, ...]):
+    def __init__(self, residues: Iterable[int]):
+        residues = tuple(residues)  # the same object for a tuple
         _checked_values(residues, "residue")
         object.__setattr__(self, "residues", residues)
 
@@ -92,7 +94,7 @@ class CipherText(_Record):
 
 
 def _check_s(s: int) -> None:
-    if s < 1:
+    if operator.index(s) < 1:  # a float s raises TypeError, as range and math.factorial do
         raise InvalidParameter(f"secret parameter s must be >= 1, got {s}")
 
 
@@ -101,8 +103,9 @@ class CipherKey(_Record):
 
     __slots__ = ("s", "quotients")
 
-    def __init__(self, s: int, quotients: tuple[int, ...] = ()):
+    def __init__(self, s: int, quotients: Iterable[int] = ()):
         _check_s(s)
+        quotients = tuple(quotients)  # the same object for a tuple
         if quotients and min(quotients) < 0:
             index, quotient = next((i, q) for i, q in enumerate(quotients) if q < 0)
             error = ValueOutOfRange(quotient)  # its own text names the letter range 1..26

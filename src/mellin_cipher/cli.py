@@ -155,6 +155,9 @@ def _cmd_encrypt(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if os.path.realpath(args.outfile) == os.path.realpath(args.keyfile):  # one replaces the other
+        print("mellin-cipher: error: --out and --key-out name the same file", file=sys.stderr)
+        return EXIT_USAGE
     plaintext = _read_plaintext(args.infile, args.fold_case)
     limit = sys.get_int_max_str_digits()  # 0 is no limit
     # Each quotient is at least (s! - 26) / 26, so none fits the limit once log10(s!) > limit + 3;

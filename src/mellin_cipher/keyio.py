@@ -25,6 +25,7 @@ only on the bytes, never on locale or platform.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 
 from .cipher import CipherKey, CipherText, _Memo
@@ -60,96 +61,87 @@ def _layout(count: int) -> tuple[list[bytes], bytes]:
 def write_key(key: CipherKey) -> bytes:
     """Serialize a key to its canonical byte form."""
     try:  # a key repeats each quotient once per schedule period, so format each once
-        digits = map(_Memo(b"%d".__mod__).__getitem__, key.quotients)
-        return _layout(len(key.quotients))[1] % (key.s, *digits)
+        digits = _Memo(lambda quotient: b"%d" % operator.index(quotient))  # %d truncates a float
+        return _layout(len(key.quotients))[1] % (key.s, *map(digits.__getitem__, key.quotients))
     except ValueError:  # int -> str refuses integers past the digit limit
         raise _unwritable() from None
 
 
-def _parse_int(text: str, line: int) -> int:
-    if not (text.isdigit() and (text == "0" or text[0] != "0")):  # text is ASCII
-        raise NonCanonicalInteger(line, text)
+def _parse_int(text: bytes, line: int) -> int:
+    if not (text.isdigit() and (text == b"0" or text[:1] != b"0")):  # bytes.isdigit: ASCII only
+        raise NonCanonicalInteger(line, text.decode("latin-1"))  # ASCII once read_key raises it
     try:
         return int(text)
-    except ValueError:  # str -> int refuses integers past the digit limit
+    except ValueError:  # bytes -> int refuses integers past the digit limit
         raise BadField(line, f"integer has {_too_wide()}") from None
-
-
-def _split_lines(data: bytes, context: str) -> list[str]:
-    if b"\r" in data:
-        raise BadField(data[: data.index(b"\r")].count(b"\n") + 1, "CR not allowed")
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise BadField(data[: exc.start].count(b"\n") + 1, f"non-ASCII byte in {context}") from exc
-    if not text.endswith("\n"):
-        raise BadField(text.count("\n") + 1, "missing trailing newline")
-    return text[:-1].split("\n")
 
 
 def read_key(data: bytes) -> CipherKey:
     """Parse key file bytes; exact inverse of :func:`write_key`.
 
-    A key exactly as :func:`write_key` writes it is split at LF once and
-    each distinct integer text is parsed once; any other input goes to the
-    per-line reader, which names the fault.
+    The key is split at LF once. A key exactly as :func:`write_key` writes
+    it passes a few C-level checks, and each distinct integer text is parsed
+    once; for any other input the same lines are walked in order to raise
+    the error that names the first fault.
     """
-    data = bytes(data)  # once, for any bytes-like input: both readers need bytes
-    key = _read_written_key(data)
-    return _read_key_lines(data) if key is None else key  # the fast path's lines are freed by now
-
-
-def _read_written_key(data: bytes) -> CipherKey | None:
+    data = bytes(data)  # any bytes-like input
     lines = data.split(b"\n")  # magic, s=, n=, the quotient lines, then what follows the last LF
     count = len(lines) - 4
-    if count < 0 or lines[-1] or lines[0] != _KEY_MAGIC or lines[2] != b"n=%d" % count:
-        return None
-    if len(data) < 4 * count + sum(count + 1 - 10**k for k in range(len(b"%d" % count))):
-        return None  # too short for count lines of q<i>=0 and LF: build no line heads for it
-    parsed = _Memo(lambda text: _parse_int(text.decode("ascii"), 0))  # the per-line reader names it
-    try:
-        s = parsed[lines[1].removeprefix(b"s=")]
-        texts = map(bytes.removeprefix, lines[3:], _layout(count)[0])  # a wrong head keeps its q
-        quotients = tuple(map(parsed.__getitem__, texts))
-    except (KeyFormatError, UnicodeDecodeError):
-        return None
-    # a line that lost its whole head (s= or q<i>=) passed as a text: it is all digits
-    return CipherKey(s, quotients) if s >= 1 and not any(map(bytes.isdigit, lines)) else None
+    if (
+        count >= 0
+        and not lines[-1]
+        and lines[0] == _KEY_MAGIC
+        and lines[2] == b"n=%d" % count
+        # long enough for count lines of q<i>=0 and LF: build no line heads for a shorter file
+        and len(data) >= 4 * count + sum(count + 1 - 10**k for k in range(len(b"%d" % count)))
+    ):
+        parsed = _Memo(lambda text: _parse_int(text, 0))  # the walk below names the line
+        try:
+            s = parsed[lines[1].removeprefix(b"s=")]
+            texts = map(bytes.removeprefix, lines[3:], _layout(count)[0])  # a wrong head stays
+            quotients = tuple(map(parsed.__getitem__, texts))
+        except KeyFormatError:
+            pass
+        else:  # a line that lost its whole head (s= or q<i>=) passed as a text: it is all digits
+            if s >= 1 and not any(map(bytes.isdigit, lines)):
+                return CipherKey(s, quotients)
 
-
-def _read_key_lines(data: bytes) -> CipherKey:
-    """Parse a key line by line, raising the error that names its first fault."""
     if not data:
         raise BadMagic("empty key file")
-    lines = _split_lines(data, "key file")
-    if not lines or lines[0] != KEY_MAGIC:
+    if b"\r" in data:
+        raise BadField(data.count(b"\n", 0, data.index(b"\r")) + 1, "CR not allowed")
+    if not data.isascii():
+        number = next(number for number, line in enumerate(lines, 1) if not line.isascii())
+        raise BadField(number, "non-ASCII byte in key file")
+    if lines.pop():  # what follows the last LF
+        raise BadField(len(lines) + 1, "missing trailing newline")
+    if lines[0] != _KEY_MAGIC:
         raise BadMagic(f"expected magic line {KEY_MAGIC!r}")
     if len(lines) < 3:
         raise BadField(len(lines) + 1, "missing s= or n= line")
-    if not lines[1].startswith("s="):
-        raise BadField(2, f"expected 's=<int>', got {_quote(lines[1])}")
+    if not lines[1].startswith(b"s="):
+        raise BadField(2, f"expected 's=<int>', got {_quote(lines[1].decode())}")
     s = _parse_int(lines[1][2:], 2)
     if s < 1:
         raise BadField(2, f"secret parameter s must be >= 1, got {s}")
-    if not lines[2].startswith("n="):
-        raise BadField(3, f"expected 'n=<int>', got {_quote(lines[2])}")
+    if not lines[2].startswith(b"n="):
+        raise BadField(3, f"expected 'n=<int>', got {_quote(lines[2].decode())}")
     count = _parse_int(lines[2][2:], 3)
-
-    quotients = []  # a key repeats each quotient once per schedule period: parse each text once
-    parsed = _Memo(lambda text: _parse_int(text, offset))  # offset: the line being read
-    for offset, line in enumerate(lines[3:], start=4):
-        index = offset - 3
-        if index > count:
-            if line.startswith("q"):
+    parsed = _Memo(lambda text: _parse_int(text, number))  # number: the line being read
+    for number, line in enumerate(lines[3:], start=4):
+        if number - 3 > count:
+            if line.startswith(b"q"):
                 raise CountMismatch(f"declared n={count} but found more quotient lines")
-            raise TrailingGarbage(f"unexpected content at line {offset}: {_quote(line)}")
-        prefix = f"q{index}="
-        if not line.startswith(prefix):
-            raise BadField(offset, f"expected {prefix!r} prefix, got {_quote(line)}")
-        quotients.append(parsed[line[len(prefix) :]])
-    if len(quotients) != count:
-        raise CountMismatch(f"declared n={count} but found {len(quotients)} quotient lines")
-    return CipherKey(s, tuple(quotients))
+            raise TrailingGarbage(f"unexpected content at line {number}: {_quote(line.decode())}")
+        head = b"q%d=" % (number - 3)
+        if not line.startswith(head):
+            raise BadField(
+                number, f"expected {head.decode()!r} prefix, got {_quote(line.decode())}"
+            )
+        parsed[line.removeprefix(head)]  # raises at a bad integer
+    if len(lines) - 3 == count:  # a faultless key, which the checks above accept
+        raise AssertionError(f"read_key refused a valid key of {count} quotients")
+    raise CountMismatch(f"declared n={count} but found {len(lines) - 3} quotient lines")
 
 
 def write_ciphertext(ct: CipherText) -> bytes:

@@ -281,6 +281,20 @@ def test_encrypt_failed_write_changes_no_file(workdir, capsys, out, key_out, unw
     assert _tree(workdir) == before  # no output replaced, no temp file left
 
 
+@pytest.mark.parametrize("out", ["y", "./y", "sub/../y"])
+@pytest.mark.parametrize("infile", ["hello.txt", "missing.txt"])  # refused before it is read
+def test_encrypt_refuses_one_file_for_both_outputs(workdir, capsys, monkeypatch, out, infile):
+    (workdir / "sub").mkdir()
+    before = _tree(workdir)
+    monkeypatch.chdir(workdir)
+    argv = ["encrypt", "--s", "4", "--in", infile, "--out", out, "--key-out", "y"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "mellin-cipher: error: --out and --key-out name the same file\n"
+    )
+    assert _tree(workdir) == before
+
+
 def test_encrypt_keeps_file_modes(workdir):
     umask = os.umask(0o022)
     try:

@@ -22,7 +22,6 @@ from mellin_cipher.errors import (
 )
 from mellin_cipher.keyio import (
     KEY_MAGIC,
-    _split_lines,
     _too_wide,
     read_ciphertext,
     read_key,
@@ -112,6 +111,15 @@ def test_write_key_rejects_integer_past_digit_limit(digit_limit):
         write_key(CipherKey(4, (7, 10**digit_limit)))
     with pytest.raises(KeyFormatError):
         write_key(CipherKey(10**digit_limit, ()))
+
+
+def test_write_key_refuses_a_non_int_field():
+    # %d would write a float truncated, and the key would not read back as itself
+    with pytest.raises(TypeError):
+        write_key(CipherKey(4, (1.5, 2.9)))
+    with pytest.raises(TypeError):
+        CipherKey(4.9, (1,))
+    assert write_key(CipherKey(True, (True, False))) == b"MELLIN-KEY-V1\ns=1\nn=2\nq1=1\nq2=0\n"
 
 
 @pytest.mark.parametrize("over", [0, 1])
@@ -234,12 +242,24 @@ def _reference_parse_int(text, line):
         raise BadField(line, f"integer has {_too_wide()}") from None
 
 
+def _reference_split_lines(data, context):
+    if b"\r" in data:
+        raise BadField(data[: data.index(b"\r")].count(b"\n") + 1, "CR not allowed")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise BadField(data[: exc.start].count(b"\n") + 1, f"non-ASCII byte in {context}") from exc
+    if not text.endswith("\n"):
+        raise BadField(text.count("\n") + 1, "missing trailing newline")
+    return text[:-1].split("\n")
+
+
 def _reference_read_key(data):
     if not data:
         raise BadMagic("empty key file")
-    lines = _split_lines(data, "key file")
-    if not lines or lines[0] != KEY_MAGIC:
-        raise BadMagic(f"expected magic line {KEY_MAGIC!r}")
+    lines = _reference_split_lines(data, "key file")
+    if not lines or lines[0] != "MELLIN-KEY-V1":
+        raise BadMagic("expected magic line 'MELLIN-KEY-V1'")
     if len(lines) < 3:
         raise BadField(len(lines) + 1, "missing s= or n= line")
     if not lines[1].startswith("s="):
@@ -412,8 +432,8 @@ _PERIODIC = b"MELLIN-KEY-V1\ns=4\nn=10\n" + b"".join(
 )
 
 
-# read_key parses each distinct text once; a fault in any repeat must still reach the per-line
-# reader, and give its result or its exception with the same message and .line
+# read_key parses each distinct text once; a fault in any repeat must still be named, with the
+# per-line reader's result or its exception with the same message and .line
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -441,7 +461,7 @@ _PERIODIC = b"MELLIN-KEY-V1\ns=4\nn=10\n" + b"".join(
 )
 def test_read_key_matches_per_line_reader_on_mutated_keys(old, new):
     data = _PERIODIC.replace(old, new, 1)
-    assert _outcome(read_key, data) == _outcome(keyio._read_key_lines, data)
+    assert _outcome(read_key, data) == _outcome(_reference_read_key, data)
     if old == new:
         assert data == write_key(encrypt("HELLO" * 2, 4)[1])
 
@@ -468,7 +488,7 @@ def test_read_key_builds_no_line_heads_for_a_short_file(line, bound):
     data = b"MELLIN-KEY-V1\ns=1\nn=%d\n" % count + line * count
     cached = keyio._layout.cache_info()
     outcome, peak = _traced(read_key, data)
-    assert outcome == _outcome(keyio._read_key_lines, data)
+    assert outcome == _outcome(_reference_read_key, data)
     assert outcome[0] is BadField
     assert peak <= bound * len(data)
     assert keyio._layout.cache_info() == cached  # neither built nor looked up
@@ -484,13 +504,32 @@ def test_read_key_peak_memory_on_a_written_key():
     assert peak < 1.6 * len(data)
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda data: data[: data.rindex(b"=") + 1] + b"0" + data[data.rindex(b"=") + 1 :],
+        lambda data: data.replace(b"n=100000\n", b"n=100001\n", 1),
+        lambda data: data.replace(b"MELLIN-KEY-V1", b"MELLIN-KEY-V2", 1),
+    ],
+    ids=["last-quotient", "count", "magic"],
+)
+def test_read_key_peak_memory_on_a_faulty_key(fault):
+    # the same 16 MB key with one fault: naming it walks the lines already split, no decoded copy
+    text = "".join(random.Random(12).choices(ALPHABET, k=10**5))
+    data = fault(write_key(encrypt(text, 64)[1]))
+    outcome, peak = _traced(read_key, data)
+    assert outcome == _outcome(_reference_read_key, data)
+    assert isinstance(outcome, tuple)
+    assert peak < 1.6 * len(data)
+
+
 @pytest.mark.parametrize("over", [0, 1])
 @pytest.mark.parametrize("old", [b"=23261\n", b"s=4\n"], ids=["quotient", "s"])
 def test_read_key_matches_per_line_reader_at_digit_limit(digit_limit, over, old):
     wide = b"9" * (digit_limit + over)
     data = _PERIODIC.replace(old, old[: old.index(b"=") + 1] + wide + b"\n")  # every repeat
     outcome = _outcome(read_key, data)
-    assert outcome == _outcome(keyio._read_key_lines, data)
+    assert outcome == _outcome(_reference_read_key, data)
     assert isinstance(outcome, CipherKey) == (over == 0)
 
 
@@ -513,19 +552,13 @@ def test_read_key_follows_lowered_digit_limit(s, quotient, line):
 @given(repetitive_keys(), st.sampled_from([0, 640, 4300]))
 @settings(max_examples=200)
 def test_read_key_reads_written_keys_whole(key, limit):
-    """A key as write_key writes it is read without the per-line reader."""
-
-    def per_line_reader(data):
-        raise AssertionError("per-line reader called on a written key")
-
+    """A key as write_key writes it passes the C-level checks: a refused one ends in an error."""
     with int_digits(limit):
         try:
             data = write_key(key)
         except KeyFormatError:  # a quotient past this limit
             return
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(keyio, "_read_key_lines", per_line_reader)
-            assert read_key(data) == key
+        assert read_key(data) == key
 
 
 def _reference_read_ciphertext(data):

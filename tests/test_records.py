@@ -80,3 +80,12 @@ def test_record_keyword_construction():
     assert CipherKey(4).quotients == ()
     assert OracleResult(numeric=2.0, exact=2, relative_error=0.0) == OracleResult(2.0, 2, 0.0)
     assert OracleResult.from_numeric(3.0, 2) == OracleResult(3.0, 2, 0.5)
+
+
+@pytest.mark.parametrize("convert", [iter, list, lambda values: range(values[0], values[-1] + 1)])
+def test_records_store_a_tuple_of_any_iterable(convert):
+    key, text = CipherKey(4, convert((7, 8, 9))), CipherText(convert((1, 2, 3)))
+    assert key == CipherKey(4, (7, 8, 9)) and hash(key) == hash(CipherKey(4, (7, 8, 9)))
+    assert text == CipherText((1, 2, 3)) and hash(text) == hash(CipherText((1, 2, 3)))
+    assert len(key) == len(text) == 3
+    assert repr(key) == "CipherKey(s=4, quotients=(7, 8, 9))"
