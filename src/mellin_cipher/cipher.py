@@ -222,7 +222,7 @@ def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
 
     def recover(entry: tuple[int, int, int]) -> int:
         slot, quotient, residue = entry
-        coefficient = quotient * MODULUS + residue
+        coefficient = operator.index(quotient) * MODULUS + residue  # a float quotient raises TypeError
         value, remainder = divmod(coefficient, weight(slot))
         if remainder == 0 and 1 <= value <= MODULUS:
             return value

@@ -69,18 +69,18 @@ def _laguerre_rule(m: int) -> tuple:
 
 
 def _build_rule(m: int) -> tuple:
-    """Newton's method on the recurrence (j+1) L_{j+1} = (2j+1-x) L_j - j L_{j-1}, started from
-    Numerical Recipes' gaulag guesses (Press et al., section 4.5) up to 6 nodes and beyond from
-    a quadratic extrapolation of the last three rules: of x*(4m+2), which barely moves with m,
-    at the small-end half, of x counted from the last node at the rest. The weight
-    x / (m*L_{m-1}(x))^2 is formed as a log, as L_{m-1} overflows at large x."""
+    """Halley's method on the recurrence (j+1) L_{j+1} = (2j+1-x) L_j - j L_{j-1}, started from
+    Numerical Recipes' gaulag guesses (Press et al., section 4.5) up to 7 nodes and beyond from
+    a cubic extrapolation of the last four rules: of x*(4m+2), which barely moves with m, at the
+    small-end half, of x counted from the last node at the rest. The weight x / (m*L_{m-1}(x))^2
+    is formed as a log, as L_{m-1} overflows at large x."""
     steps = [((2 * j + 1) / (j + 1), 1 / (j + 1), j / (j + 1)) for j in range(m)]
     guesses = []
-    if m > 6:
-        prev = [_RULES[m - k][0] for k in (1, 2, 3)]
-        scaled = (3 * u * (4 * m - 2) - 3 * v * (4 * m - 6) + w * (4 * m - 10) for u, v, w in zip(*prev))
-        guesses = [y / (4 * m + 2) for y in scaled][: m // 2]
-        guesses += [3 * u - 3 * v + w for u, v, w in zip(*(r[::-1] for r in prev))][m - m // 2 - 1 :: -1]
+    if m > 7:
+        prev = [_RULES[m - k][0] for k in (1, 2, 3, 4)]
+        scaled = [[x * (4 * (m - k) + 2) for x in rule[: m // 2]] for k, rule in enumerate(prev, 1)]
+        guesses = [(4 * u - 6 * v + 4 * w - t) / (4 * m + 2) for u, v, w, t in zip(*scaled)]
+        guesses += [4 * u - 6 * v + 4 * w - t for u, v, w, t in zip(*(r[::-1] for r in prev))][m - m // 2 - 1 :: -1]
     nodes, log_weights, z = [], [], 0.0
     for i in range(m):
         if guesses:
@@ -93,11 +93,14 @@ def _build_rule(m: int) -> tuple:
             high, low = 1.0, 0.0  # L_j(z), L_{j-1}(z)
             for a, b, c in steps:
                 high, low = (a - b * z) * high - c * low, high
-            dz = z * high / (m * (high - low))  # L_m / L_m', as x L_m' = m (L_m - L_{m-1})
-            if abs(dz) <= 1e-13 * z:
+            ratio = z * high / (m * (high - low))  # L_m / L_m', as x L_m' = m (L_m - L_{m-1})
+            dz = ratio / (1 - ratio * (z - 1 - m * ratio) / (2 * z))  # as x L_m'' = (x-1) L_m' - m L_m
+            if abs(dz) <= 1e-6 * z:  # Halley's error is cubic: about 1e-18 z after this step
                 break
             z -= dz
-        low -= dz * ((z - m) * low + m * high) / z  # L_{m-1}(z-dz), as x L_{m-1}' = (x-m) L_{m-1} + m L_m
+        slope = ((z - m) * low + m * high) / z  # L_{m-1}', as x L_{m-1}' = (x-m) L_{m-1} + m L_m
+        # L_{m-1}(z-dz) to second order, as x L_{m-1}'' = (x-1) L_{m-1}' - (m-1) L_{m-1}
+        low -= dz * (slope - dz * ((z - 1) * slope - (m - 1) * low) / (2 * z))
         z -= dz
         nodes.append(z)
         log_weights.append(math.log(z) - 2 * math.log(abs(m * low)))

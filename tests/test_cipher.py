@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -493,6 +494,9 @@ def test_transform_coefficients_matches_reference(plain, s):
         assert {type(c) for c in result} <= {int}  # exact Python ints, numpy input or not
 
 
+_HELLO = CipherText.from_letters("JBHDN")  # encrypt("HELLO", 4), quotients (7, 23, 332, 2326, 23261)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -500,12 +504,33 @@ def test_transform_coefficients_matches_reference(plain, s):
         lambda: CipherText((1.0,)),
         lambda: CipherText((3, 1.5)),
         lambda: transform_coefficients([1.5], 3),
+        lambda: decrypt(_HELLO, CipherKey(4, (7.5, 23, 332, 2326, 23261))),
+        lambda: decrypt(_HELLO, CipherKey(4, (Fraction(15, 2), 23, 332, 2326, 23261))),
+        lambda: recover_s(_HELLO, (7.5, 23, 332, 2326, 23261), 10),
+        lambda: recover_s(_HELLO, (Fraction(15, 2), 23, 332, 2326, 23261), 10),
     ],
-    ids=["residue-1.5", "residue-1.0", "residue-after-int", "plaintext-1.5"],
+    ids=[
+        "residue-1.5",
+        "residue-1.0",
+        "residue-after-int",
+        "plaintext-1.5",
+        "decrypt-quotient-7.5",
+        "decrypt-quotient-fraction",
+        "recover-quotient-7.5",
+        "recover-quotient-fraction",
+    ],
 )
 def test_non_int_value_is_type_error(call):
     with pytest.raises(TypeError):
         call()
+
+
+def test_numpy_quotient_decrypts_exactly():
+    # quotient * 26 overflows int64 at s = 20; the quotient is taken as an exact int first
+    ciphertext, key = encrypt("ZA", 20)
+    quotients = tuple(map(np.int64, key.quotients))
+    assert decrypt(ciphertext, CipherKey(20, quotients)) == "ZA"
+    assert 20 in recover_s(ciphertext, quotients, 30)
 
 
 @given(

@@ -82,6 +82,71 @@ def test_laguerre_rule_matches_numpy():
         assert weights == tuple(map(math.exp, log_weights))
 
 
+def _newton_rules(count):
+    """Rules 1..count as the oracle built them by Newton steps from a quadratic extrapolation: the
+    reference for the Halley builder that replaced it. Returns {m: (nodes, log_weights)}."""
+    rules = {}
+    for m in range(1, count + 1):
+        steps = [((2 * j + 1) / (j + 1), 1 / (j + 1), j / (j + 1)) for j in range(m)]
+        guesses = []
+        if m > 6:
+            prev = [rules[m - k][0] for k in (1, 2, 3)]
+            scaled = (3 * u * (4 * m - 2) - 3 * v * (4 * m - 6) + w * (4 * m - 10) for u, v, w in zip(*prev))
+            guesses = [y / (4 * m + 2) for y in scaled][: m // 2]
+            guesses += [3 * u - 3 * v + w for u, v, w in zip(*(r[::-1] for r in prev))][m - m // 2 - 1 :: -1]
+        nodes, log_weights, z = [], [], 0.0
+        for i in range(m):
+            if guesses:
+                z = guesses[i]
+            elif i < 2:
+                z += 3 / (1 + 2.4 * m) if i == 0 else 15 / (1 + 2.5 * m)
+            else:
+                z += (1 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (z - nodes[i - 2])
+            while True:
+                high, low = 1.0, 0.0
+                for a, b, c in steps:
+                    high, low = (a - b * z) * high - c * low, high
+                dz = z * high / (m * (high - low))
+                if abs(dz) <= 1e-13 * z:
+                    break
+                z -= dz
+            low -= dz * ((z - m) * low + m * high) / z
+            z -= dz
+            nodes.append(z)
+            log_weights.append(math.log(z) - 2 * math.log(abs(m * low)))
+        rules[m] = nodes, log_weights
+    return rules
+
+
+def test_laguerre_rule_matches_newton_builder():
+    # differential test against the builder the Halley steps replaced; needs no numpy
+    for m, (reference_nodes, reference_log_weights) in _newton_rules(152).items():
+        nodes, _, _, log_weights = oracle._laguerre_rule(m)
+        assert max(abs(x - y) / y for x, y in zip(nodes, reference_nodes)) <= 1e-12, m
+        assert max(abs(w - v) for w, v in zip(log_weights, reference_log_weights)) <= 1e-11, m
+
+
+def test_laguerre_rules_interlace_and_sum():
+    # a rule that converged to a wrong or repeated root breaks interlacing or the moments
+    previous = ()
+    for m in range(1, 153):
+        nodes, weights, _, _ = oracle._laguerre_rule(m)
+        assert all(a < b < c for a, b, c in zip(nodes, previous, nodes[1:])), m
+        assert abs(math.fsum(weights) - 1) <= 1e-13, m
+        assert abs(math.fsum(w * x for w, x in zip(weights, nodes)) - 1) <= 1e-13, m
+        previous = nodes
+
+
+def test_every_rule_integrates_its_top_degrees():
+    # degrees m, 2m-2 and 2m-1 with the m-node rule, each within its mode's exactness bound
+    for m in range(1, 153):
+        for degree in {d for d in (m, 2 * m - 2, 2 * m - 1) if d >= 1}:
+            if degree <= 300:
+                assert numeric_mellin(1, degree, nodes=m, log_space=True).relative_error <= 1e-11, (m, degree)
+            if degree <= 40:
+                assert numeric_mellin(1, degree, nodes=m).relative_error <= 1e-12, (m, degree)
+
+
 def test_numeric_mellin_worst_error():
     # the result depends on n and s only through the degree s+n-1
     assert max(numeric_mellin(1, degree).relative_error for degree in range(1, 41)) <= 1e-12
