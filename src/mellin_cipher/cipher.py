@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Callable, Iterable, Sequence
-from operator import mul
+from operator import getitem, mul
 
-from .alphabet import _checked_values, _letter_values, decode_values
+from .alphabet import _TO_LETTERS, _checked_values, _letter_values, decode_values
 from .errors import (
     InvalidParameter,
     LengthMismatch,
@@ -44,6 +45,13 @@ class _Record:
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _from_checked(cls, *values):  # field values the caller has checked: __init__ does not run
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -82,7 +90,7 @@ class CipherText(_Record):
 
     @classmethod
     def from_letters(cls, text: str) -> "CipherText":
-        return cls(tuple(_letter_values(text, "ciphertext")))
+        return cls._from_checked(tuple(_letter_values(text, "ciphertext")))
 
     @property
     def letters(self) -> str:
@@ -95,7 +103,7 @@ class CipherText(_Record):
 
 def _check_s(s: int) -> None:
     if operator.index(s) < 1:  # a float s raises TypeError, as range and math.factorial do
-        raise InvalidParameter(f"secret parameter s must be >= 1, got {s}")
+        raise InvalidParameter(f"secret parameter s must be >= 1, got {_render_int(s)}")
 
 
 class CipherKey(_Record):
@@ -125,8 +133,8 @@ def exponent_schedule(s: int, n: int) -> list[int]:
     through s..2s with period s+1.
     """
     _check_s(s)
-    if n < 0:
-        raise InvalidParameter(f"schedule length must be >= 0, got {n}")
+    if not 0 <= (n := operator.index(n)) <= sys.maxsize:  # a float n raises TypeError
+        raise InvalidParameter(f"schedule length must be in 0..sys.maxsize, got {_render_int(n)}")
     return list(itertools.islice(itertools.cycle(range(s, 2 * s + 1)), n))
 
 
@@ -142,6 +150,8 @@ def _weights(s: int) -> Callable[[int], int]:
     table: list[int] = []
 
     def weight(slot: int) -> int:
+        if not table and s > sys.maxsize:  # math.factorial cannot take it
+            raise InvalidParameter(f"secret parameter s must be <= sys.maxsize, got {_render_int(s)}")
         while len(table) <= slot:
             table.append(table[-1] * (s + len(table)) if table else math.factorial(s))
         return table[slot]
@@ -182,8 +192,8 @@ def split_mod26(n: int) -> tuple[int, int]:
     residue is 26 and the quotient drops by one, so every residue maps to
     a letter.
     """
-    if n < 1:
-        raise NonPositiveInput(f"expected a positive integer, got {n}")
+    if (n := operator.index(n)) < 1:  # a float n raises TypeError
+        raise NonPositiveInput(f"expected a positive integer, got {_render_int(n)}")
     quotient, residue = divmod(n - 1, MODULUS)
     return quotient, residue + 1
 
@@ -202,41 +212,62 @@ def encrypt(plaintext: str, s: int, fold_case: bool = True) -> tuple[CipherText,
             quotient_of[value], residue_of[value] = split_mod26(value * weight(slot))
         residues[slot :: s + 1] = column.translate(residue_of)
         quotients[slot :: s + 1] = map(quotient_of.__getitem__, column)
-    return CipherText(tuple(residues)), CipherKey(s, tuple(quotients))
+    return CipherText._from_checked(tuple(residues)), CipherKey._from_checked(s, tuple(quotients))
+
+
+class _LetterRows(dict):
+    """A slot's rows by quotient: at index r, the letter value of ``quotient * 26 + r``, or 0."""
+
+    __slots__ = ("weight",)  # the slot's factorial
+    _NONE = bytes(MODULUS + 1)  # the one row of every quotient under which no residue decrypts
+
+    def __init__(self, weight: int):
+        self.weight = weight
+
+    def __missing__(self, quotient: int) -> bytes:  # one exact division per distinct quotient
+        value, excess = divmod((operator.index(quotient) + 1) * MODULUS, self.weight)  # float: TypeError
+        # r = 26 - excess makes quotient * 26 + r value times weight, each r weight lower once less;
+        # value > 26 means quotient >= weight, so then every r makes it more than 26 times
+        if not 0 < value <= MODULUS or excess >= MODULUS:
+            return self.setdefault(quotient, self._NONE)
+        row = self[quotient] = bytearray(self._NONE)
+        for residue in range(MODULUS - excess, 0, -self.weight):
+            row[residue] = value
+            value -= 1
+        return row
 
 
 def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
     """Recover the plaintext from a ciphertext and its private key.
 
-    Rebuilds each coefficient as quotient * 26 + residue, divides out the
-    schedule factorial exactly, and maps the results back to letters.
-    Raises :class:`NotDivisible` or :class:`ValueOutOfRange` (with 1-based
-    position) when the pair is corrupted.
+    Each coefficient quotient * 26 + residue must be its schedule factorial
+    times a letter value 1..26; :class:`NotDivisible` or :class:`ValueOutOfRange`
+    names the first position (1-based) where it is not.
     """
     if len(ciphertext) != len(key):
         raise LengthMismatch(
             f"ciphertext has {len(ciphertext)} letters but key has {len(key)} quotients"
         )
-    s, quotients, residues = key.s, key.quotients, ciphertext.residues
-    weight = _weights(s)
+    return _decode(key.s, key.quotients, bytes(ciphertext.residues))  # a column slice: 1/8 a tuple's
 
-    def recover(entry: tuple[int, int, int]) -> int:
-        slot, quotient, residue = entry
-        coefficient = operator.index(quotient) * MODULUS + residue  # a float quotient raises TypeError
-        value, remainder = divmod(coefficient, weight(slot))
-        if remainder == 0 and 1 <= value <= MODULUS:
-            return value
-        # Positions are looked up in order and a failing entry is never
-        # memoised, so the fault is this slot's first position holding the pair.
-        for index in range(slot, len(quotients), s + 1):
-            if quotients[index] == quotient and residues[index] == residue:
-                break
+
+def _decode(s: int, quotients: tuple, residues: bytes) -> str:  # decrypt, one schedule column at a time
+    weight, values, first = _weights(s), bytearray(len(quotients)), len(quotients)
+    for slot in range(min(len(quotients), s + 1)):  # a slot's column shares its factorial
+        if slot > first:  # the first fault so far lies before this column's first position
+            break
+        rows = _LetterRows(weight(slot))
+        column = bytes(map(getitem, map(rows.__getitem__, quotients[slot :: s + 1]), residues[slot :: s + 1]))
+        values[slot :: s + 1] = column
+        if 0 in column:  # a position that does not decrypt
+            first = min(first, slot + column.index(0) * (s + 1))
+    if first < len(quotients):
+        coefficient = operator.index(quotients[first]) * MODULUS + residues[first]
+        value, remainder = divmod(coefficient, weight(first % (s + 1)))
         if remainder != 0:
-            raise NotDivisible(index + 1, coefficient, weight(slot))
-        raise ValueOutOfRange(value, f"recovered value at position {index + 1}")
-
-    entries = zip(itertools.cycle(range(s + 1)), quotients, residues)
-    return decode_values(bytes(map(_Memo(recover).__getitem__, entries)))
+            raise NotDivisible(first + 1, coefficient, weight(first % (s + 1)))
+        raise ValueOutOfRange(value, f"recovered value at position {first + 1}")
+    return values.translate(_TO_LETTERS).decode()  # each value is a row's, so in 1..26
 
 
 def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> set[int]:
@@ -253,13 +284,17 @@ def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> s
             f"ciphertext has {len(ciphertext)} letters but {len(quotients)} quotients given"
         )
     if max_s < 1:
-        raise InvalidParameter(f"max_s must be >= 1, got {max_s}")
+        raise InvalidParameter(f"max_s must be >= 1, got {_render_int(max_s)}")
     if not quotients:  # no letter can fail, so every s decrypts cleanly
         return set(range(1, max_s + 1))
-    candidates = set()
+    try:
+        CipherKey(1, quotients)  # the check a key of each candidate s would run, run once
+    except ValueOutOfRange:  # a negative quotient: no key holds it, so no s decrypts
+        return set()
+    candidates, residues = set(), bytes(ciphertext.residues)
     for s in range(1, max_s + 1):
         try:
-            decrypt(ciphertext, CipherKey(s, quotients))
+            _decode(s, quotients, residues)
         except (NotDivisible, ValueOutOfRange):
             continue
         candidates.add(s)

@@ -14,7 +14,7 @@ class CipherToolkitError(Exception):
 def _render_int(value: int) -> str:
     # int -> str is quadratic and refused past 4300 digits, so a message
     # states the bit length of anything wider than 64 bits instead
-    bits = value.bit_length()
+    bits = int(value).bit_length()  # numpy integers have no bit_length
     return str(value) if bits <= 64 else f"<{bits}-bit integer>"
 
 

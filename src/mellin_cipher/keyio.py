@@ -104,7 +104,7 @@ def read_key(data: bytes) -> CipherKey:
             pass
         else:  # a line that lost its whole head (s= or q<i>=) passed as a text: it is all digits
             if s >= 1 and not any(map(bytes.isdigit, lines)):
-                return CipherKey(s, quotients)
+                return CipherKey._from_checked(s, quotients)  # s >= 1, every text all digits
 
     if not data:
         raise BadMagic("empty key file")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -387,6 +388,49 @@ def test_decrypt_matches_reference(case):
     assert _outcome(decrypt, ciphertext, key) == _outcome(_reference_decrypt, ciphertext, key)
 
 
+def _column_edges(s, n):
+    """Indexes where a schedule column starts or ends, and a fault in a later column."""
+    return sorted({0, 1, 2, s - 1, s, s + 1, s + 2, 2 * s + 1, n - 2, n - 1} & set(range(n)))
+
+
+def test_decrypt_matches_reference_at_column_edges():
+    # decrypt decodes each slot's column quotients[slot::s+1] at once and stops at the first
+    # column that starts past the earliest fault found; the fault it names must be the
+    # reference's first, also when a later column holds it (faults at 2 and s+1, say)
+    rng = random.Random(16)
+    for s in range(1, 71):
+        for n in sorted({1, 2, s, s + 1, s + 2, 2 * (s + 1) + 1}):
+            ciphertext, key = encrypt("".join(rng.choices("ABMNYZ", k=n)), s)
+            edges = _column_edges(s, n)
+            for faults in [(i,) for i in edges] + list(itertools.combinations(edges, 2)):
+                quotients = list(key.quotients)
+                for index in faults:
+                    weight = math.factorial(s + index % (s + 1))
+                    # not divisible, or divisible with the value pushed past 26
+                    quotients[index] += rng.choice([1, 2, weight, 26 * weight])
+                tampered = CipherKey(s, tuple(quotients))
+                expected = _outcome(_reference_decrypt, ciphertext, tampered)
+                assert _outcome(decrypt, ciphertext, tampered) == expected, (s, n, faults)
+            for index in edges:  # a float quotient stays a TypeError wherever it sits
+                quotients = list(key.quotients)
+                quotients[index] += 0.5
+                with pytest.raises(TypeError):
+                    decrypt(ciphertext, CipherKey(s, tuple(quotients)))
+
+
+def test_decrypt_computes_no_factorial_past_the_first_fault(monkeypatch):
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda k: calls.append(k) or factorial(k))
+    ciphertext, key = encrypt("HELLOWORLD" * 40, 2000)
+    assert calls == [2000]
+    corrupted = CipherKey(2000, (key.quotients[0] + 1,) + key.quotients[1:])
+    with pytest.raises(NotDivisible) as exc_info:
+        decrypt(ciphertext, corrupted)
+    assert exc_info.value.position == 1
+    assert calls == [2000, 2000]
+
+
 @given(tampered(), st.integers(1, 40))
 @settings(max_examples=200)
 def test_recover_s_matches_reference(case, max_s):
@@ -523,6 +567,87 @@ _HELLO = CipherText.from_letters("JBHDN")  # encrypt("HELLO", 4), quotients (7, 
 def test_non_int_value_is_type_error(call):
     with pytest.raises(TypeError):
         call()
+
+
+def test_recover_s_of_a_negative_quotient_is_empty():
+    # no CipherKey holds a negative quotient, so no s decrypts the pair; the one check
+    # recover_s runs up front must not turn that into an error
+    quotients = (-1, 23, 332, 2326, 23261)
+    assert recover_s(_HELLO, quotients, 10) == set() == _reference_recover_s(_HELLO, quotients, 10)
+    assert recover_s(_HELLO, (7, 23, 332, 2326, -(10**5000)), 10) == set()
+
+
+def test_recover_s_checks_the_quotients_once(monkeypatch):
+    checks = []
+    init = CipherKey.__init__
+    monkeypatch.setattr(CipherKey, "__init__", lambda key, *args: checks.append(args) or init(key, *args))
+    ciphertext, key = encrypt("HELLOWORLD", 7)
+    assert checks == []  # encrypt checked its own fields
+    assert 7 in recover_s(ciphertext, key.quotients, 1000)
+    assert len(checks) == 1  # not once per candidate s
+
+
+_BEYOND_FACTORIAL = 2**63  # sys.maxsize + 1 on a 64-bit build: math.factorial raises OverflowError
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: encrypt("A", _BEYOND_FACTORIAL),
+        lambda: transform_coefficients([1], _BEYOND_FACTORIAL),
+        lambda: decrypt(CipherText((1,)), CipherKey(_BEYOND_FACTORIAL, (0,))),
+        lambda: exponent_schedule(1, _BEYOND_FACTORIAL),
+        lambda: exponent_schedule(1, 10**5000),
+        lambda: exponent_schedule(1, -(10**5000)),
+        lambda: encrypt("A", -(10**5000)),
+        lambda: recover_s(CipherText(()), [], -(10**5000)),
+    ],
+    ids=[
+        "encrypt",
+        "transform",
+        "decrypt",
+        "schedule",
+        "schedule-wide",
+        "schedule-negative-wide",
+        "encrypt-negative-wide-s",
+        "recover-negative-wide-max-s",
+    ],
+)
+def test_extreme_parameters_are_invalid(call):
+    # a message states an integer past 64 bits by its bit length, never by str()
+    with pytest.raises(InvalidParameter, match="sys.maxsize|-bit integer"):
+        call()
+
+
+def test_numpy_parameters_are_named_in_messages():
+    with pytest.raises(InvalidParameter, match="got 0"):
+        encrypt("A", np.int64(0))
+    with pytest.raises(InvalidParameter, match="got -1"):
+        exponent_schedule(3, np.int64(-1))
+    with pytest.raises(InvalidParameter, match="got 0"):
+        recover_s(CipherText(()), [], np.int64(0))
+    assert exponent_schedule(np.int64(3), np.int64(5)) == [3, 4, 5, 6, 3]
+    assert recover_s(CipherText(()), [], np.int64(2)) == {1, 2}
+    with pytest.raises(ValueOutOfRange, match="quotient at index 1 is -1, must be >= 0"):
+        CipherKey(4, (np.int64(7), np.int64(-1)))
+
+
+def test_empty_message_needs_no_factorial_of_a_huge_s():
+    ciphertext, key = encrypt("", _BEYOND_FACTORIAL)
+    assert ciphertext == CipherText(()) and key == CipherKey(_BEYOND_FACTORIAL, ())
+    assert decrypt(ciphertext, key) == ""
+    assert transform_coefficients([], _BEYOND_FACTORIAL) == []
+
+
+def test_split_mod26_takes_exact_ints_only():
+    with pytest.raises(TypeError):
+        split_mod26(1.5)
+    with pytest.raises(TypeError):
+        split_mod26(27.0)
+    assert split_mod26(np.int64(27)) == (1, 1)
+    assert {type(part) for part in split_mod26(np.int64(27))} == {int}
+    with pytest.raises(NonPositiveInput, match="-bit integer"):
+        split_mod26(-(10**5000))
 
 
 def test_numpy_quotient_decrypts_exactly():

@@ -198,6 +198,19 @@ def test_decrypt_wide_integer_is_data_error(workdir, capsys, key_bytes, letters)
     assert "-bit integer>" in err
 
 
+def test_decrypt_s_past_sys_maxsize_is_data_error(workdir):
+    # math.factorial refuses an s above sys.maxsize with OverflowError; the cold command
+    # must end in one error line and exit 3, not in a traceback
+    (workdir / "key.mk").write_bytes(b"MELLIN-KEY-V1\ns=%d\nn=1\nq1=0\n" % 2**63)
+    (workdir / "ct.txt").write_bytes(b"A\n")
+    argv = ["decrypt", "--key", "key.mk", "--in", "ct.txt", "--out", "pt.txt"]
+    result = _fresh_python(workdir, "import sys\nfrom mellin_cipher.cli import run\nrun()\n", *argv)
+    assert result.returncode == EXIT_DATA
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert "sys.maxsize" in result.stderr and result.stdout == ""
+    assert not (workdir / "pt.txt").exists()
+
+
 def test_encrypt_key_past_digit_limit_writes_nothing(workdir, capsys, digit_limit):
     # 2000! has 5736 digits, so every quotient is past the limit
     assert run_encrypt(workdir, s="2000", extra=("--max-s-param", "3000")) == EXIT_DATA

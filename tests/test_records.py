@@ -5,7 +5,8 @@ import pickle
 
 import pytest
 
-from mellin_cipher.cipher import CipherKey, CipherText
+from mellin_cipher.cipher import CipherKey, CipherText, encrypt
+from mellin_cipher.keyio import read_ciphertext, read_key, write_ciphertext, write_key
 from mellin_cipher.oracle import OracleResult
 
 # one record per class with its exact repr, and a record of the same class that differs
@@ -89,3 +90,28 @@ def test_records_store_a_tuple_of_any_iterable(convert):
     assert text == CipherText((1, 2, 3)) and hash(text) == hash(CipherText((1, 2, 3)))
     assert len(key) == len(text) == 3
     assert repr(key) == "CipherKey(s=4, quotients=(7, 8, 9))"
+
+
+def _sealed_and_opened(s):
+    """Records built without a second check: by encrypt, read_key, read_ciphertext and from_letters."""
+    ciphertext, key = encrypt("HELLOWORLD" * 3, s)
+    return [
+        (ciphertext, CipherText(list(ciphertext.residues))),
+        (key, CipherKey(s, list(key.quotients))),
+        (read_key(write_key(key)), CipherKey(s, list(key.quotients))),
+        (read_ciphertext(write_ciphertext(ciphertext)), CipherText(list(ciphertext.residues))),
+        (CipherText.from_letters(ciphertext.letters), CipherText(list(ciphertext.residues))),
+    ]
+
+
+@pytest.mark.parametrize("s", [1, 4, 64])
+def test_records_checked_once_equal_public_ones(s):
+    for record, public in _sealed_and_opened(s):
+        assert type(record) is type(public)
+        assert record == public and public == record
+        assert hash(record) == hash(public)
+        assert repr(record) == repr(public)
+        twin = pickle.loads(pickle.dumps(record))  # rebuilt through the public constructor
+        assert type(twin) is type(record) and twin == public and repr(twin) == repr(public)
+        for name in type(record).__slots__:  # the same field types, a tuple for a sequence
+            assert type(getattr(record, name)) is type(getattr(public, name))
