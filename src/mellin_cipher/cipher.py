@@ -19,10 +19,10 @@ import itertools
 import math
 import operator
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from operator import getitem, mul
 
-from .alphabet import _TO_LETTERS, _checked_values, _letter_values, decode_values
+from .alphabet import _TO_LETTERS, _checked_values, _letter_values
 from .errors import (
     InvalidParameter,
     LengthMismatch,
@@ -95,15 +95,16 @@ class CipherText(_Record):
     @property
     def letters(self) -> str:
         """The ciphertext as an uppercase string."""
-        return decode_values(self.residues)
+        return bytes(self.residues).translate(_TO_LETTERS).decode()  # each residue is in 1..26
 
     def __len__(self) -> int:
         return len(self.residues)
 
 
-def _check_s(s: int) -> None:
-    if operator.index(s) < 1:  # a float s raises TypeError, as range and math.factorial do
+def _check_s(s: int) -> int:  # s as an exact int
+    if (checked := operator.index(s)) < 1:  # a float s raises TypeError, as range and math.factorial do
         raise InvalidParameter(f"secret parameter s must be >= 1, got {_render_int(s)}")
+    return checked
 
 
 class CipherKey(_Record):
@@ -112,8 +113,8 @@ class CipherKey(_Record):
     __slots__ = ("s", "quotients")
 
     def __init__(self, s: int, quotients: Iterable[int] = ()):
-        _check_s(s)
-        quotients = tuple(quotients)  # the same object for a tuple
+        s = _check_s(s)
+        quotients = tuple(map(operator.index, quotients))  # exact ints: a float or Fraction is a TypeError
         if quotients and min(quotients) < 0:
             index, quotient = next((i, q) for i, q in enumerate(quotients) if q < 0)
             error = ValueOutOfRange(quotient)  # its own text names the letter range 1..26
@@ -132,57 +133,29 @@ def exponent_schedule(s: int, n: int) -> list[int]:
     Position i (1-based) gets exponent s + ((i-1) mod (s+1)), cycling
     through s..2s with period s+1.
     """
-    _check_s(s)
+    s = _check_s(s)
     if not 0 <= (n := operator.index(n)) <= sys.maxsize:  # a float n raises TypeError
         raise InvalidParameter(f"schedule length must be in 0..sys.maxsize, got {_render_int(n)}")
     return list(itertools.islice(itertools.cycle(range(s, 2 * s + 1)), n))
 
 
-def _weights(s: int) -> Callable[[int], int]:
-    """``weight(slot) = (s + slot)!``, the factorial of schedule slot 0..s.
+def _factorials(s: int) -> Iterator[int]:
+    """(s + slot)! for schedule slots 0..s in order, for a checked s.
 
-    The table grows on demand and in slot order: s! by one ``math.factorial``,
-    each later slot from its predecessor. A caller that stops early (a
-    corrupted key, say) has paid for no factorial past the slots it reached,
-    and one that reaches none has paid for none.
+    Lazy: the first draw makes s! by one ``math.factorial``, each later draw
+    is one product. A caller that stops early (a corrupted key, say) pays for
+    no factorial past the slots it drew, and one that draws none for none.
     """
-    _check_s(s)
-    table: list[int] = []
-
-    def weight(slot: int) -> int:
-        if not table and s > sys.maxsize:  # math.factorial cannot take it
-            raise InvalidParameter(f"secret parameter s must be <= sys.maxsize, got {_render_int(s)}")
-        while len(table) <= slot:
-            table.append(table[-1] * (s + len(table)) if table else math.factorial(s))
-        return table[slot]
-
-    return weight
-
-
-class _Memo(dict):
-    """A dict whose missing key is filled with ``compute(key)``.
-
-    A lookup that hits runs in C, so ``map(memo.__getitem__, keys)`` costs
-    no Python frame per repeat; only a miss calls ``compute``.
-    """
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute: Callable):
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
+    if s > sys.maxsize:  # math.factorial cannot take it
+        raise InvalidParameter(f"secret parameter s must be <= sys.maxsize, got {_render_int(s)}")
+    yield from itertools.accumulate(range(s + 1, 2 * s + 1), mul, initial=math.factorial(s))
 
 
 def transform_coefficients(plain: Sequence[int], s: int) -> list[int]:
     """Scale each letter value by the factorial of its schedule exponent."""
-    count = len(plain)
-    weight = _weights(s)  # a bad s is named before a bad value
+    s = _check_s(s)  # a bad s is named before a bad value
     values = _checked_values(plain, "plaintext value")
-    weights = [weight(slot) for slot in range(min(count, s + 1))]
-    return list(map(mul, values, itertools.cycle(weights)))
+    return list(map(mul, values, itertools.cycle(itertools.islice(_factorials(s), len(values)))))
 
 
 def split_mod26(n: int) -> tuple[int, int]:
@@ -205,11 +178,11 @@ def encrypt(plaintext: str, s: int, fold_case: bool = True) -> tuple[CipherText,
     per-position quotients). Deterministic: equal inputs give equal outputs.
     """
     values = _letter_values(plaintext.upper() if fold_case else plaintext, "plaintext")
-    weight, residues, quotients = _weights(s), bytearray(len(values)), [0] * len(values)
-    for slot in range(min(len(values), s + 1)):  # a slot's column shares its factorial
+    s, residues, quotients = _check_s(s), bytearray(len(values)), [0] * len(values)
+    for slot, factorial in enumerate(itertools.islice(_factorials(s), len(values))):  # one per column
         column, residue_of, quotient_of = values[slot :: s + 1], bytearray(256), [0] * 27
         for value in set(column):  # split each value the column holds, and only those
-            quotient_of[value], residue_of[value] = split_mod26(value * weight(slot))
+            quotient_of[value], residue_of[value] = split_mod26(value * factorial)
         residues[slot :: s + 1] = column.translate(residue_of)
         quotients[slot :: s + 1] = map(quotient_of.__getitem__, column)
     return CipherText._from_checked(tuple(residues)), CipherKey._from_checked(s, tuple(quotients))
@@ -225,7 +198,7 @@ class _LetterRows(dict):
         self.weight = weight
 
     def __missing__(self, quotient: int) -> bytes:  # one exact division per distinct quotient
-        value, excess = divmod((operator.index(quotient) + 1) * MODULUS, self.weight)  # float: TypeError
+        value, excess = divmod((quotient + 1) * MODULUS, self.weight)
         # r = 26 - excess makes quotient * 26 + r value times weight, each r weight lower once less;
         # value > 26 means quotient >= weight, so then every r makes it more than 26 times
         if not 0 < value <= MODULUS or excess >= MODULUS:
@@ -252,20 +225,20 @@ def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
 
 
 def _decode(s: int, quotients: tuple, residues: bytes) -> str:  # decrypt, one schedule column at a time
-    weight, values, first = _weights(s), bytearray(len(quotients)), len(quotients)
-    for slot in range(min(len(quotients), s + 1)):  # a slot's column shares its factorial
-        if slot > first:  # the first fault so far lies before this column's first position
-            break
-        rows = _LetterRows(weight(slot))
+    values, first, divisor = bytearray(len(quotients)), len(quotients), 0  # the first fault, its factorial
+    for slot, factorial in enumerate(itertools.islice(_factorials(s), len(quotients))):  # one per column
+        rows = _LetterRows(factorial)
         column = bytes(map(getitem, map(rows.__getitem__, quotients[slot :: s + 1]), residues[slot :: s + 1]))
         values[slot :: s + 1] = column
-        if 0 in column:  # a position that does not decrypt
-            first = min(first, slot + column.index(0) * (s + 1))
+        if 0 in column and (position := slot + column.index(0) * (s + 1)) < first:  # the earliest fault yet
+            first, divisor = position, factorial
+        if first == slot:  # every later column starts after the first fault: draw no more factorials
+            break
     if first < len(quotients):
-        coefficient = operator.index(quotients[first]) * MODULUS + residues[first]
-        value, remainder = divmod(coefficient, weight(first % (s + 1)))
+        coefficient = quotients[first] * MODULUS + residues[first]
+        value, remainder = divmod(coefficient, divisor)
         if remainder != 0:
-            raise NotDivisible(first + 1, coefficient, weight(first % (s + 1)))
+            raise NotDivisible(first + 1, coefficient, divisor)
         raise ValueOutOfRange(value, f"recovered value at position {first + 1}")
     return values.translate(_TO_LETTERS).decode()  # each value is a row's, so in 1..26
 
@@ -288,7 +261,7 @@ def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> s
     if not quotients:  # no letter can fail, so every s decrypts cleanly
         return set(range(1, max_s + 1))
     try:
-        CipherKey(1, quotients)  # the check a key of each candidate s would run, run once
+        quotients = CipherKey(1, quotients).quotients  # the check a key of each s would run, run once
     except ValueOutOfRange:  # a negative quotient: no key holds it, so no s decrypts
         return set()
     candidates, residues = set(), bytes(ciphertext.residues)

@@ -11,10 +11,10 @@ class CipherToolkitError(Exception):
     """Base class for all toolkit errors."""
 
 
-def _render_int(value: int) -> str:
-    # int -> str is quadratic and refused past 4300 digits, so a message
-    # states the bit length of anything wider than 64 bits instead
-    bits = int(value).bit_length()  # numpy integers have no bit_length
+def _render_int(value) -> str:
+    # int -> str is quadratic and refused past 4300 digits, so a message states the bit length
+    # of an integer wider than 64 bits instead; anything else, a float say, shows as str
+    bits = int(value).bit_length() if hasattr(value, "__index__") else 0  # numpy ints: no bit_length
     return str(value) if bits <= 64 else f"<{bits}-bit integer>"
 
 
@@ -76,7 +76,7 @@ class ExactnessBoundExceeded(CipherToolkitError):
     def __init__(self, exponent: int, bound: int):
         self.exponent = exponent
         self.bound = bound
-        super().__init__(f"exponent {exponent} exceeds exactness bound {bound}")
+        super().__init__(f"exponent {_render_int(exponent)} exceeds exactness bound {bound}")
 
 
 class InvalidScale(CipherToolkitError):

@@ -25,10 +25,10 @@ only on the bytes, never on locale or platform.
 from __future__ import annotations
 
 import functools
-import operator
 import sys
+from collections.abc import Callable
 
-from .cipher import CipherKey, CipherText, _Memo
+from .cipher import CipherKey, CipherText
 from .errors import (
     BadField,
     BadMagic,
@@ -41,6 +41,19 @@ from .errors import (
 
 KEY_MAGIC = "MELLIN-KEY-V1"
 _KEY_MAGIC = KEY_MAGIC.encode()
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``: only a miss costs a Python frame."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 def _too_wide() -> str:
@@ -61,7 +74,7 @@ def _layout(count: int) -> tuple[list[bytes], bytes]:
 def write_key(key: CipherKey) -> bytes:
     """Serialize a key to its canonical byte form."""
     try:  # a key repeats each quotient once per schedule period, so format each once
-        digits = _Memo(lambda quotient: b"%d" % operator.index(quotient))  # %d truncates a float
+        digits = _Memo(b"%d".__mod__)  # the key's quotients are exact ints
         return _layout(len(key.quotients))[1] % (key.s, *map(digits.__getitem__, key.quotients))
     except ValueError:  # int -> str refuses integers past the digit limit
         raise _unwritable() from None

@@ -25,13 +25,14 @@ rescaled rule.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
 
 from .cipher import _Record
-from .errors import ExactnessBoundExceeded, InvalidParameter, InvalidScale
+from .errors import ExactnessBoundExceeded, InvalidParameter, InvalidScale, _render_int
 
 DEFAULT_EXACTNESS_BOUND = 40
 LOG_SPACE_EXACTNESS_BOUND = 300
@@ -107,6 +108,16 @@ def _build_rule(m: int) -> tuple:
     return tuple(nodes), tuple(map(math.exp, log_weights)), tuple(map(math.log, nodes)), tuple(log_weights)
 
 
+def _degree(n: int, s: int, bound: int) -> int:
+    """The integrand's degree s + n - 1, for exact ints n, s >= 1 that keep it within bound."""
+    degree = operator.index(s) + operator.index(n) - 1  # a float n or s raises TypeError
+    if n < 1 or s < 1:
+        raise InvalidParameter(f"n and s must be >= 1, got n={_render_int(n)}, s={_render_int(s)}")
+    if degree > bound:
+        raise ExactnessBoundExceeded(degree, bound)
+    return degree
+
+
 def numeric_mellin(
     n: int, s: int, *, nodes: int | None = None, log_space: bool = False
 ) -> OracleResult:
@@ -116,20 +127,15 @@ def numeric_mellin(
     pass ``nodes`` (at most 152) for a larger, still exact rule. Exponents
     beyond 40, or 300 in log-space mode, raise :class:`ExactnessBoundExceeded`.
     """
-    if n < 1 or s < 1:
-        raise InvalidParameter(f"n and s must be >= 1, got n={n}, s={s}")
-    degree = s + n - 1
-    bound = LOG_SPACE_EXACTNESS_BOUND if log_space else DEFAULT_EXACTNESS_BOUND
-    if degree > bound:
-        raise ExactnessBoundExceeded(degree, bound)
+    degree = _degree(n, s, LOG_SPACE_EXACTNESS_BOUND if log_space else DEFAULT_EXACTNESS_BOUND)
     minimum = (degree + 2) // 2
     node_count = _auto_node_count(degree) if nodes is None else nodes
     if node_count < minimum:
         raise InvalidParameter(
-            f"{node_count} nodes cannot integrate degree {degree} exactly (need >= {minimum})"
+            f"{_render_int(node_count)} nodes cannot integrate degree {degree} exactly (need >= {minimum})"
         )
     if node_count > _MAX_NODES:
-        raise InvalidParameter(f"{node_count} nodes exceed the largest rule, {_MAX_NODES}")
+        raise InvalidParameter(f"{_render_int(node_count)} nodes exceed the largest rule, {_MAX_NODES}")
     x, w, log_x, log_w = _laguerre_rule(node_count)
     exact = math.factorial(degree)
     if not log_space:
@@ -147,7 +153,7 @@ def numeric_mellin(
 
 def _check_tol(tol: float) -> None:
     if not tol > 0:  # NaN too
-        raise InvalidParameter(f"tolerance must be > 0, got {tol}")
+        raise InvalidParameter(f"tolerance must be > 0, got {_render_int(tol)}")
 
 
 def gamma_identity_check(n: int, s: int, tol: float) -> bool:
@@ -198,16 +204,13 @@ def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
     would leave the range of normal doubles raises :class:`InvalidScale`.
     """
     if not 0 < a < math.inf:  # NaN and inf too
-        raise InvalidScale(f"scale factor must be finite and > 0, got {a}")
-    if n < 1 or s < 1:
-        raise InvalidParameter(f"n and s must be >= 1, got n={n}, s={s}")
+        raise InvalidScale(f"scale factor must be finite and > 0, got {_render_int(a)}")
     _check_tol(tol)
-    degree = s + n - 1
-    if degree > DEFAULT_EXACTNESS_BOUND:
-        raise ExactnessBoundExceeded(degree, DEFAULT_EXACTNESS_BOUND)
+    degree = _degree(n, s, DEFAULT_EXACTNESS_BOUND)
     low, high = _log_scale_range(n, s)
     if not low < math.log(a) < high:
-        raise InvalidScale(f"scale factor {a} takes n={n}, s={s} outside the double range")
+        raise InvalidScale(f"scale factor {_render_int(a)} takes n={n}, s={s} outside the double range")
+    a = float(a)  # in range now; a numpy integer would refuse the negative power below
     nodes, weights, _, _ = _laguerre_rule(_auto_node_count(degree))
     integrand = [x**n * (x / a) ** (s - 1) for x in nodes]
     numeric = math.fsum([w / a * f for w, f in zip(weights, integrand)])
@@ -224,8 +227,9 @@ def shift_check(a: int, n: int, s: int, tol: float) -> bool:
     different node counts so the agreement is between two genuinely distinct
     sums, and the verdict uses a symmetric relative difference.
     """
+    a, n, s = operator.index(a), operator.index(n), operator.index(s)  # numpy ints could overflow below
     if a < 0:
-        raise InvalidParameter(f"shift must be >= 0, got {a}")
+        raise InvalidParameter(f"shift must be >= 0, got {_render_int(a)}")
     _check_tol(tol)
     base = _auto_node_count(s + a + n - 1)
     lifted = numeric_mellin(n + a, s, nodes=base).numeric  # x^a folded into the integrand

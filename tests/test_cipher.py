@@ -658,6 +658,33 @@ def test_numpy_quotient_decrypts_exactly():
     assert 20 in recover_s(ciphertext, quotients, 30)
 
 
+_REPEATED = CipherText((1, 2, 5, 2))  # under s = 1, positions 1 and 3 share a schedule column
+
+
+@pytest.mark.parametrize("zero", [0.0, Fraction(0)], ids=["float", "fraction"])
+def test_non_int_quotient_equal_to_an_earlier_one_is_type_error(zero):
+    # position 3 repeats position 1's quotient in its column, so a check of each distinct
+    # quotient per column never sees it: the key takes every quotient as an exact int
+    quotients = (0, 0, zero, 0)
+    with pytest.raises(TypeError):
+        CipherKey(1, quotients)
+    with pytest.raises(TypeError):
+        decrypt(_REPEATED, CipherKey(1, quotients))
+    with pytest.raises(TypeError):
+        recover_s(_REPEATED, quotients, 3)
+    # a non-int anywhere is named before a negative quotient
+    with pytest.raises(TypeError):
+        CipherKey(1, (-1, zero))
+    with pytest.raises(TypeError):
+        recover_s(CipherText((1, 2)), (-1, zero), 3)
+
+
+def test_cipher_key_stores_exact_ints():
+    key = CipherKey(np.int64(4), (np.int64(7), True))
+    assert key.quotients == (7, 1) and key.s == 4
+    assert [type(field) for field in (key.s, *key.quotients)] == [int, int, int]
+
+
 @given(
     st.one_of(st.integers(-3, 70), st.booleans()),
     st.lists(st.one_of(st.integers(0, 10**30), _wide_ints), max_size=40).map(tuple),

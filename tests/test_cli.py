@@ -146,6 +146,27 @@ def test_usage_errors():
     assert main(["recover-s", "--in", "x", "--quotients", "1,zap", "--max-s", "8"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["encrypt", "--s", "4", "--in", "hello.txt", "--out", "ct.txt", "--key-out", "key.mk"]
+            + ["--max-s-param", "0"],
+            "--max-s-param must be >= 1",
+        ),
+        (["verify-transform", "--n-max", "0"], "--n-max and --s-max must be >= 1"),
+        (["verify-transform", "--s-max", "0"], "--n-max and --s-max must be >= 1"),
+        (["recover-s", "--in", "hello.txt", "--quotients", "7", "--max-s", "0"], "--max-s must be >= 1"),
+    ],
+    ids=["max-s-param", "n-max", "s-max", "max-s"],
+)
+def test_bound_below_one_is_usage_error(workdir, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(workdir)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"mellin-cipher: error: {message}\n")
+    assert sorted(os.listdir(workdir)) == ["hello.txt"]
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "encrypt" in capsys.readouterr().out

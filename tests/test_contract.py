@@ -1,0 +1,104 @@
+"""One input contract for every public name.
+
+Each call returns, or raises a CipherToolkitError or a TypeError (a non-int
+where an int is required), within a wall bound: never an OverflowError, a
+stray ValueError or a stall. Every int argument is drawn from values that
+probe a check: 0, -1, 2**63 (past sys.maxsize), 10**5000 (past the int -> str
+digit limit), True, 1.5, Fraction(3, 2) and numpy.int64 values, plus 3 so
+that some calls get past their checks.
+
+Left out, as the work the caller asked for: max_s above 10**4 for
+recover_s, which tries that many s (and lists every one for an empty message).
+"""
+
+import math
+import time
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import mellin_cipher
+from mellin_cipher import CipherKey, CipherText
+from mellin_cipher.alphabet import ALPHABET
+from mellin_cipher.errors import CipherToolkitError
+
+_WALL_S = 5.0
+
+
+class _Wide(int):
+    """An int past the digit limit whose repr the test's own report can print; str() still refuses it."""
+
+    def __repr__(self):
+        return f"<{self.bit_length()}-bit int>"
+
+
+_INTS = st.sampled_from(
+    [0, -1, 3, 2**63, _Wide(10**5000), True, 1.5, Fraction(3, 2), np.int64(3), np.int64(0), np.int64(-1)]
+)
+_TOLS = st.sampled_from([1e-9, math.nan, -1.0, _Wide(-(10**5000))])
+_SCALES = _INTS | st.sampled_from([0.5, math.inf, math.nan])
+_MAX_S = _INTS.filter(lambda value: not value > 10**4)
+_LISTS = st.lists(_INTS | st.integers(1, 26), max_size=4)
+_TEXT = st.text(alphabet=ALPHABET + "az1 \xdf", max_size=8)
+_BYTES = st.binary(max_size=12) | st.sampled_from(
+    [b"JBHDN\n", b"MELLIN-KEY-V1\ns=4\nn=1\nq1=7\n", b"MELLIN-KEY-V1\ns=9223372036854775808\nn=1\nq1=0\n"]
+)
+
+
+class _Build(tuple):
+    """A record's constructor arguments: the record is built inside the timed call, so its checks count."""
+
+    def __new__(cls, record, *args):
+        return super().__new__(cls, (record, *args))
+
+    def __call__(self):
+        return self[0](*self[1:])
+
+
+_KEYS = st.builds(_Build, st.just(CipherKey), _INTS, _LISTS)
+_TEXTS = st.builds(_Build, st.just(CipherText), _LISTS)
+_LETTERS = st.text(alphabet=ALPHABET, max_size=4).map(CipherText.from_letters)
+
+# each public name's positional and keyword arguments
+_CALLS = {
+    "CipherKey": st.tuples(st.tuples(_INTS, _LISTS), st.just({})),
+    "CipherText": st.tuples(st.tuples(_LISTS), st.just({})),
+    "OracleResult": st.tuples(st.tuples(_SCALES, _INTS, _TOLS), st.just({})),
+    "decode_values": st.tuples(st.tuples(_LISTS), st.just({})),
+    "decrypt": st.tuples(st.tuples(_TEXTS | _LETTERS, _KEYS), st.just({})),
+    "encode_text": st.tuples(st.tuples(_TEXT), st.fixed_dictionaries({"fold_case": st.booleans()})),
+    "encrypt": st.tuples(st.tuples(_TEXT, _INTS), st.fixed_dictionaries({"fold_case": st.booleans()})),
+    "exponent_schedule": st.tuples(st.tuples(_INTS, _INTS), st.just({})),
+    "gamma_identity_check": st.tuples(st.tuples(_INTS, _INTS, _TOLS), st.just({})),
+    "numeric_mellin": st.tuples(
+        st.tuples(_INTS, _INTS),
+        st.fixed_dictionaries({"nodes": st.none() | _INTS, "log_space": st.booleans()}),
+    ),
+    "read_ciphertext": st.tuples(st.tuples(_BYTES), st.just({})),
+    "read_key": st.tuples(st.tuples(_BYTES), st.just({})),
+    "recover_s": st.tuples(st.tuples(_TEXTS | _LETTERS, _LISTS, _MAX_S), st.just({})),
+    "scaling_check": st.tuples(st.tuples(_SCALES, _INTS, _INTS, _TOLS), st.just({})),
+    "shift_check": st.tuples(st.tuples(_SCALES, _INTS, _INTS, _TOLS), st.just({})),
+    "split_mod26": st.tuples(st.tuples(_INTS), st.just({})),
+    "transform_coefficients": st.tuples(st.tuples(_LISTS, _INTS), st.just({})),
+    "write_ciphertext": st.tuples(st.tuples(_TEXTS | _LETTERS), st.just({})),
+    "write_key": st.tuples(st.tuples(_KEYS), st.just({})),
+}
+
+
+def test_every_public_name_has_a_contract_case():
+    assert sorted(_CALLS) == sorted(mellin_cipher.__all__)
+
+
+@given(st.sampled_from(sorted(_CALLS)).flatmap(lambda name: st.tuples(st.just(name), _CALLS[name])))
+@settings(max_examples=600, deadline=None)
+def test_public_names_keep_the_input_contract(case):
+    name, (args, kwargs) = case
+    start = time.perf_counter()
+    try:
+        args = [arg() if isinstance(arg, _Build) else arg for arg in args]
+        getattr(mellin_cipher, name)(*args, **kwargs)
+    except (CipherToolkitError, TypeError):
+        pass
+    assert time.perf_counter() - start < _WALL_S

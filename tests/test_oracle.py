@@ -252,6 +252,13 @@ def test_scaling_check_guard_over_every_double_scale():
     assert 0 < verdicts < len(scales) * 36
 
 
+def test_package_lends_the_oracle_names():
+    for name in ("OracleResult", "gamma_identity_check", "numeric_mellin", "scaling_check", "shift_check"):
+        assert getattr(mellin_cipher, name) is getattr(oracle, name)
+    with pytest.raises(AttributeError, match="module 'mellin_cipher' has no attribute 'nothing'"):
+        mellin_cipher.nothing
+
+
 def test_import_loads_numpy_alone():
     # the package has no runtime dependency; a fresh import loads no other package, the oracle included
     src = str(Path(mellin_cipher.__file__).resolve().parents[1])
