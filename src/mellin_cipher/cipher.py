@@ -221,11 +221,19 @@ def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
         raise LengthMismatch(
             f"ciphertext has {len(ciphertext)} letters but key has {len(key)} quotients"
         )
-    return _decode(key.s, key.quotients, bytes(ciphertext.residues))  # a column slice: 1/8 a tuple's
+    residues = bytes(ciphertext.residues)  # a column slice: 1/8 a tuple's
+    values, first, divisor = _decode(key.s, key.quotients, residues)
+    if first < len(values):  # the decoder reports the first fault, and only decrypt raises it
+        coefficient = key.quotients[first] * MODULUS + residues[first]
+        value, remainder = divmod(coefficient, divisor)
+        if remainder != 0:
+            raise NotDivisible(first + 1, coefficient, divisor)
+        raise ValueOutOfRange(value, f"recovered value at position {first + 1}")
+    return values.translate(_TO_LETTERS).decode()  # each value is a row's, so in 1..26
 
 
-def _decode(s: int, quotients: tuple, residues: bytes) -> str:  # decrypt, one schedule column at a time
-    values, first, divisor = bytearray(len(quotients)), len(quotients), 0  # the first fault, its factorial
+def _decode(s: int, quotients: tuple, residues: bytes) -> tuple:  # one schedule column at a time; reports a fault
+    values, first, divisor = bytearray(len(quotients)), len(quotients), 0  # the first fault (n: none), its factorial
     for slot, factorial in enumerate(itertools.islice(_factorials(s), len(quotients))):  # one per column
         rows = _LetterRows(factorial)
         column = bytes(map(getitem, map(rows.__getitem__, quotients[slot :: s + 1]), residues[slot :: s + 1]))
@@ -234,13 +242,7 @@ def _decode(s: int, quotients: tuple, residues: bytes) -> str:  # decrypt, one s
             first, divisor = position, factorial
         if first == slot:  # every later column starts after the first fault: draw no more factorials
             break
-    if first < len(quotients):
-        coefficient = quotients[first] * MODULUS + residues[first]
-        value, remainder = divmod(coefficient, divisor)
-        if remainder != 0:
-            raise NotDivisible(first + 1, coefficient, divisor)
-        raise ValueOutOfRange(value, f"recovered value at position {first + 1}")
-    return values.translate(_TO_LETTERS).decode()  # each value is a row's, so in 1..26
+    return values, first, divisor
 
 
 def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> set[int]:
@@ -264,11 +266,5 @@ def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> s
         quotients = CipherKey(1, quotients).quotients  # the check a key of each s would run, run once
     except ValueOutOfRange:  # a negative quotient: no key holds it, so no s decrypts
         return set()
-    candidates, residues = set(), bytes(ciphertext.residues)
-    for s in range(1, max_s + 1):
-        try:
-            _decode(s, quotients, residues)
-        except (NotDivisible, ValueOutOfRange):
-            continue
-        candidates.add(s)
-    return candidates
+    residues, n = bytes(ciphertext.residues), len(quotients)
+    return {s for s in range(1, max_s + 1) if _decode(s, quotients, residues)[1] == n}  # fault index n: none

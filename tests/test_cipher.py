@@ -263,6 +263,27 @@ def test_ciphertext_is_all_z_from_s_13(plaintext, s):
     assert ciphertext.letters == "Z" * len(plaintext)
 
 
+def test_a_slots_residues_fix_the_letter_modulo_13_below_e_13():
+    # g * e! mod 26 over g in 1..26 depends on e alone: e = 1 keeps g, 2 <= e <= 12 keeps
+    # g mod 13 (e! is even and prime to 13), e >= 13 keeps nothing (26 divides e!)
+    for e in range(1, 41):
+        residues = {g * math.factorial(e) % 26 for g in range(1, 27)}
+        assert len(residues) == (26 if e == 1 else 13 if e <= 12 else 1), e
+        # the letter a slot-0 position gets under s = e holds the same classes
+        letters = {encrypt(letter, e)[0].residues[0] % 26 for letter in ALPHABET}
+        assert letters == residues, e
+
+
+@given(plaintexts)
+def test_slot_zero_letters_are_in_clear_under_s_1(plaintext):
+    ciphertext, _ = encrypt(plaintext, 1)
+    assert ciphertext.letters[::2] == plaintext[::2]  # exponent 1: g * 1! mod 26 is g
+
+
+def test_helloworld_under_s_1_shows_every_other_letter():
+    assert encrypt("HELLOWORLD", 1)[0].letters == "HJLXOTOJLH"  # H, L, O, O and L in clear
+
+
 def test_encrypt_and_decrypt_compute_one_factorial(monkeypatch):
     calls = []
     factorial = math.factorial
@@ -585,6 +606,21 @@ def test_recover_s_checks_the_quotients_once(monkeypatch):
     assert checks == []  # encrypt checked its own fields
     assert 7 in recover_s(ciphertext, key.quotients, 1000)
     assert len(checks) == 1  # not once per candidate s
+
+
+def test_recover_s_builds_no_error_for_a_rejected_s(monkeypatch):
+    built = []
+    for error in (NotDivisible, ValueOutOfRange):
+        init = error.__init__
+        monkeypatch.setattr(
+            error, "__init__", lambda exc, *args, init=init: built.append(type(exc)) or init(exc, *args)
+        )
+    ciphertext, key = encrypt("HELLOWORLD", 7)
+    assert 7 in recover_s(ciphertext, key.quotients, 1000)
+    assert built == []  # a rejected s is filtered out by its fault index, not raised and caught
+    with pytest.raises((NotDivisible, ValueOutOfRange)):
+        decrypt(ciphertext, CipherKey(8, key.quotients))
+    assert len(built) == 1  # decrypt still raises the first fault, once
 
 
 _BEYOND_FACTORIAL = 2**63  # sys.maxsize + 1 on a 64-bit build: math.factorial raises OverflowError
