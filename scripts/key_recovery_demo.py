@@ -5,13 +5,25 @@ Encrypts random messages under random s, hands an "attacker" only what an
 eavesdropper holding the key material would have (ciphertext + quotients,
 but not s), and scans s candidates by trial decryption. The true s is
 recovered in every trial, which is the whole security story of this scheme.
+
+With --ciphertext-only the attacker holds the ciphertext alone. A letter's
+residue g * e! mod 26 depends only on its value g and schedule exponent e:
+it is g itself for e = 1 (the letter is in clear), it fixes g mod 13 for
+2 <= e <= 12 (2 candidates of 26), and it is always Z for e >= 13. For each
+s this mode reports the share of letters in clear, the share fixed to 2
+candidates, and how often the ciphertext alone fixes s: how often s is the
+one likeliest candidate in 1..--max-s for uniformly random letters. That is
+mostly the Z pattern: under a candidate, every slot with e >= 13 must show
+Z, and a Z elsewhere is a 2-in-26 chance. Only under s = 1 do the letters
+in clear also count, since an odd residue needs e = 1.
 """
 
 import argparse
+import math
 import random
 import string
 
-from mellin_cipher.cipher import decrypt, encrypt, recover_s, CipherKey
+from mellin_cipher.cipher import decrypt, encrypt, exponent_schedule, recover_s, CipherKey
 
 
 def run_trials(trials: int, max_s: int, max_len: int, seed: int, verbose: bool) -> int:
@@ -41,6 +53,37 @@ def run_trials(trials: int, max_s: int, max_len: int, seed: int, verbose: bool) 
     return 0 if misses == 0 else 1
 
 
+def _residue_counts(e: int) -> list[int]:
+    """At index r, how many letter values g in 1..26 make g * e! leave residue r (1..26)."""
+    counts = [0] * 27
+    for g in range(1, 27):
+        counts[(g * math.factorial(e) - 1) % 26 + 1] += 1
+    return counts
+
+
+def run_ciphertext_only(trials: int, max_s: int, max_len: int, seed: int) -> int:
+    rng = random.Random(seed)
+    counts = {e: _residue_counts(e) for e in range(1, 2 * max_s + 1)}
+    print(f"ciphertext only: {trials} messages of 1..{max_len} letters per s, candidates 1..{max_s}")
+    print(f"{'s':>4} {'in clear':>9} {'2 candidates':>13} {'fixes s':>8}")
+    for s in range(1, max_s + 1):
+        letters = clear = pair = fixed = 0
+        for _ in range(trials):
+            length = rng.randint(1, max_len)
+            residues = encrypt("".join(rng.choices(string.ascii_uppercase, k=length)), s)[0].residues
+            shares = [counts[e][r] for r, e in zip(residues, exponent_schedule(s, length))]
+            clear, pair, letters = clear + shares.count(1), pair + shares.count(2), letters + length
+            # each candidate's likelihood, times 26**length: exact ints, so ties are exact
+            weight = {
+                c: math.prod(counts[e][r] for r, e in zip(residues, exponent_schedule(c, length)))
+                for c in range(1, max_s + 1)
+            }
+            best = max(weight.values())
+            fixed += [c for c in weight if weight[c] == best] == [s]
+        print(f"{s:>4} {clear / letters:>9.1%} {pair / letters:>13.1%} {fixed / trials:>8.1%}")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=100)
@@ -48,7 +91,12 @@ def main() -> int:
     parser.add_argument("--max-len", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--verbose", action="store_true", help="print every trial")
+    parser.add_argument(
+        "--ciphertext-only", action="store_true", help="report what the ciphertext alone shows, by s"
+    )
     args = parser.parse_args()
+    if args.ciphertext_only:
+        return run_ciphertext_only(args.trials, args.max_s, args.max_len, args.seed)
     return run_trials(args.trials, args.max_s, args.max_len, args.seed, args.verbose)
 
 

@@ -33,6 +33,7 @@ from .errors import (
 )
 
 MODULUS = 26
+_EXACT_S = 10_000  # decrypt computes s! for an s up to this (about 4 ms) and refuses a larger one by size first
 
 
 class _Record:
@@ -218,10 +219,12 @@ def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
     names the first position (1-based) where it is not.
     """
     if len(ciphertext) != len(key):
-        raise LengthMismatch(
-            f"ciphertext has {len(ciphertext)} letters but key has {len(key)} quotients"
-        )
+        raise LengthMismatch(f"ciphertext has {len(ciphertext)} letters but key has {len(key)} quotients")
     residues = bytes(ciphertext.residues)  # a column slice: 1/8 a tuple's
+    if key.quotients and _EXACT_S < key.s <= sys.maxsize:  # c1 = g1 * s! cannot hold if s! > c1: prove it by size
+        m, c1 = key.s // 2, key.quotients[0] * MODULUS + residues[0]  # s! > m**m >= 2**(m * (m.bit_length() - 1))
+        if m * (m.bit_length() - 1) >= c1.bit_length():
+            raise NotDivisible._below_factorial(1, c1, key.s)  # with no s! computed
     values, first, divisor = _decode(key.s, key.quotients, residues)
     if first < len(values):  # the decoder reports the first fault, and only decrypt raises it
         coefficient = key.quotients[first] * MODULUS + residues[first]

@@ -6,6 +6,9 @@ so callers (and the CLI) can distinguish toolkit failures from bugs.
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
+
 
 class CipherToolkitError(Exception):
     """Base class for all toolkit errors."""
@@ -61,13 +64,22 @@ class NotDivisible(CipherToolkitError):
     """
 
     def __init__(self, position: int, value: int, divisor: int):
-        self.position = position
-        self.value = value
-        self.divisor = divisor
+        self.position, self.value, self.divisor = position, value, divisor
         super().__init__(
             f"coefficient {_render_int(value)} at position {position} "
             f"is not divisible by {_render_int(divisor)}"
         )
+
+    @classmethod
+    def _below_factorial(cls, position: int, value: int, s: int) -> NotDivisible:  # value < s!: the text names s
+        text = f"coefficient {_render_int(value)} at position {position} is not divisible by {s}!, which exceeds it"
+        error = cls.__new__(cls, text)  # BaseException.__new__ sets args; __init__ would need s!
+        error.position, error.value, error._s = position, value, s
+        return error
+
+    @cached_property
+    def divisor(self) -> int:  # __init__ stores it; an error from _below_factorial makes s! on first read
+        return math.factorial(self._s)
 
 
 class ExactnessBoundExceeded(CipherToolkitError):

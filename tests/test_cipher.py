@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -621,6 +622,74 @@ def test_recover_s_builds_no_error_for_a_rejected_s(monkeypatch):
     with pytest.raises((NotDivisible, ValueOutOfRange)):
         decrypt(ciphertext, CipherKey(8, key.quotients))
     assert len(built) == 1  # decrypt still raises the first fault, once
+
+
+# The key gate: above cipher._EXACT_S, decrypt refuses a key whose s! provably exceeds its first
+# coefficient c1 = q1 * 26 + r1 (the construction makes c1 = g1 * s!), and computes no s! to do it.
+_JBHDN, _JBHDN_QUOTIENTS, _JBHDN_C1 = CipherText.from_letters("JBHDN"), (7, 23, 332, 2326, 23261), 7 * 26 + 10
+_GATED_S = [cipher._EXACT_S + 1, cipher._EXACT_S + 2, 10**6, sys.maxsize]
+
+
+def _refuse_factorials_past(limit, factorial=math.factorial):
+    """math.factorial that raises past ``limit``: a gate that lets a huge s through fails, not stalls."""
+
+    def guarded(k):
+        if k > limit:
+            raise AssertionError(f"math.factorial({k}) computed")
+        return factorial(k)
+
+    return guarded
+
+
+@pytest.mark.parametrize("s", [cipher._EXACT_S, *_GATED_S])
+def test_key_whose_factorial_exceeds_c1_fails_at_position_1(monkeypatch, s):
+    monkeypatch.setattr(math, "factorial", _refuse_factorials_past(cipher._EXACT_S))
+    with pytest.raises(NotDivisible) as exc_info:
+        decrypt(_JBHDN, CipherKey(s, _JBHDN_QUOTIENTS))
+    error = exc_info.value
+    assert type(error) is NotDivisible
+    assert (error.position, error.value) == (1, _JBHDN_C1)
+    if s <= cipher._EXACT_S + 2:  # the exact path names the same fault, with the same divisor
+        monkeypatch.undo()
+        expected = _outcome(_reference_decrypt, _JBHDN, CipherKey(s, _JBHDN_QUOTIENTS))
+        assert {name: getattr(error, name) for name in expected[2]} == expected[2]
+    if s == cipher._EXACT_S:  # not gated: the text and fields are the exact path's
+        assert (type(error), str(error), vars(error)) == expected
+
+
+@pytest.mark.parametrize("s", _GATED_S)
+def test_gated_key_computes_no_factorial_until_divisor_is_read(monkeypatch, s):
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", _refuse_factorials_past(-1))  # no factorial at all
+    with pytest.raises(NotDivisible) as exc_info:
+        decrypt(_JBHDN, CipherKey(s, _JBHDN_QUOTIENTS))
+    error = exc_info.value
+    assert str(error) == f"coefficient {_JBHDN_C1} at position 1 is not divisible by {s}!, which exceeds it"
+    assert "divisor" not in vars(error)
+    if s <= cipher._EXACT_S + 2:
+        monkeypatch.setattr(math, "factorial", lambda k: calls.append(k) or factorial(k))
+        assert error.divisor == factorial(s) and error.divisor == factorial(s)
+        assert calls == [s]  # made once, on the first read, and kept
+
+
+def test_true_key_just_above_the_gate_decrypts():
+    for s in (cipher._EXACT_S + 1, cipher._EXACT_S + 2):
+        ciphertext, key = encrypt("HELLOWORLD", s)
+        assert decrypt(ciphertext, key) == "HELLOWORLD"
+
+
+def test_gate_leaves_every_other_key_to_the_exact_path():
+    s = cipher._EXACT_S + 1
+    ciphertext, key = encrypt("HELLO", s)
+    # a fault at position 2: position 1 decrypts, so the gate must not name it
+    at_2 = CipherKey(s, (key.quotients[0], key.quotients[1] + 1) + key.quotients[2:])
+    # a q1 too wide for the gate's bound but still below s!: the exact path names it
+    wide_q1 = CipherKey(s, (2**70000,) + key.quotients[1:])
+    for tampered, position in ((at_2, 2), (wide_q1, 1)):
+        expected = _outcome(_reference_decrypt, ciphertext, tampered)
+        assert _outcome(decrypt, ciphertext, tampered) == expected
+        assert expected[0] is NotDivisible and expected[2]["position"] == position
 
 
 _BEYOND_FACTORIAL = 2**63  # sys.maxsize + 1 on a 64-bit build: math.factorial raises OverflowError

@@ -1,14 +1,23 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 import stat
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mellin_cipher import cli
+from mellin_cipher.alphabet import ALPHABET
+from mellin_cipher.cipher import _EXACT_S, CipherKey, encrypt
+from mellin_cipher.keyio import write_ciphertext, write_key
 from mellin_cipher.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -230,6 +239,80 @@ def test_decrypt_s_past_sys_maxsize_is_data_error(workdir):
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
     assert "sys.maxsize" in result.stderr and result.stdout == ""
     assert not (workdir / "pt.txt").exists()
+
+
+def test_decrypt_refuses_a_huge_s_before_its_factorial(workdir):
+    # 10**6! has about 18.5 million bits and took about 10 s to compute; the key's first
+    # coefficient 7 * 26 + 10 cannot be a multiple of it, and decrypt says so by size alone
+    (workdir / "key.mk").write_bytes(EXAMPLE_KEY_BYTES.replace(b"s=4", b"s=1000000"))
+    (workdir / "ct.txt").write_bytes(b"JBHDN\n")
+    argv = ["decrypt", "--key", "key.mk", "--in", "ct.txt", "--out", "pt.txt"]
+    start = time.perf_counter()
+    result = _fresh_python(workdir, "from mellin_cipher.cli import run\nrun()\n", *argv)
+    assert time.perf_counter() - start < 5.0
+    assert result.returncode == EXIT_DATA
+    assert result.stderr == (
+        "mellin-cipher: coefficient 192 at position 1 is not divisible by 1000000!, which exceeds it\n"
+    )
+    assert result.stdout == "" and not (workdir / "pt.txt").exists()
+
+
+_WALL_S = 5.0
+
+
+def _factorials_up_to_exact_s(k, factorial=math.factorial):
+    if k > _EXACT_S:  # decrypt refuses a larger s with a small first quotient by size
+        raise AssertionError(f"math.factorial({k}) computed")
+    return factorial(k)
+
+
+_EDIT_BYTES = b"0179=\nqsnAJZz \xff"
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` with up to three bytes replaced, inserted or deleted."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(0, 3))):
+        at, byte = draw(st.integers(0, len(data))), draw(st.sampled_from(_EDIT_BYTES))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            data[at : at + 1] = bytes([byte]) if edit == "replace" else b""
+    return bytes(data)
+
+
+@given(
+    letters=st.text(alphabet=ALPHABET, max_size=6),
+    true_s=st.integers(1, 6),
+    s=st.integers(1, 2**63 + 1) | st.sampled_from([10**5, 10**6]),
+    data=st.data(),
+)
+@example(letters="HELLO", true_s=4, s=10**6, data=None)
+@settings(max_examples=150, deadline=None)
+def test_decrypt_of_mutated_files_ends_in_a_documented_exit(letters, true_s, s, data):
+    """Stall gate: a decrypt of a mutated key and ciphertext ends in 0, 2 or 3, in time.
+
+    The key holds a short message's quotients under a drawn s, from 1 to 2**63 + 1, and
+    up to three bytes of each file are edited. recover-s is left out until its scan has a
+    closed form: at --max-s 20000 it takes about 85 s on JBHDN from a cold process.
+    """
+    ciphertext, key = encrypt(letters, true_s)  # q1 has a few digits: s! > c1 past _EXACT_S
+    files = [write_key(CipherKey(s, key.quotients)), write_ciphertext(ciphertext)]
+    if data is not None:
+        files = [data.draw(_mutated(contents)) for contents in files]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        paths = [os.path.join(tmp, name) for name in ("key.mk", "ct.txt", "pt.txt")]
+        for path, contents in zip(paths, files):
+            Path(path).write_bytes(contents)
+        start = time.perf_counter()
+        with mock.patch.object(math, "factorial", _factorials_up_to_exact_s):  # a huge s! raises, not stalls
+            code = main(["decrypt", "--key", paths[0], "--in", paths[1], "--out", paths[2]])
+        seconds = time.perf_counter() - start
+    assert code in {EXIT_OK, EXIT_IO, EXIT_DATA}
+    assert err.getvalue().count("\n") == (code != EXIT_OK)  # one line per failure, no traceback
+    assert seconds < _WALL_S, (s, files)
 
 
 def test_encrypt_key_past_digit_limit_writes_nothing(workdir, capsys, digit_limit):

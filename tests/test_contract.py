@@ -12,11 +12,11 @@ next one drawn, 2**63, is past sys.maxsize, so no draw reaches 4..sys.maxsize
 for any of them. Much of that range is the work the caller asked for: encrypt
 and transform_coefficients under a large s, exponent_schedule of a long
 length, recover_s over a large max_s (it tries that many s, and lists every
-one for an empty message). It also hides a stall: decrypt computes s! before
-it finds a key's first quotient far too small for it, so a 5-letter key
-takes 0.23 s at s = 10**5 and 10.6 s at s = 10**6 (2-vCPU host, Python
-3.11.7), until decrypt refuses such an s by its size before it computes any
-factorial.
+one for an empty message). decrypt under a large s is not in that list: above
+s = 10**4 it refuses a key whose s! provably exceeds its first coefficient
+before it computes any factorial, so a 5-letter key costs no factorial at
+s = 10**6 (it took 10.6 s before that gate). tests/test_cipher.py and the
+stall gate in tests/test_cli.py drive decrypt over that range instead.
 """
 
 import math

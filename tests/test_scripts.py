@@ -31,3 +31,19 @@ def test_key_recovery_demo_script():
     result = run_script("key_recovery_demo.py", "--trials", "20")
     assert result.returncode == 0, result.stderr
     assert "recovered the true s in 20/20 trials" in result.stdout
+
+
+def test_key_recovery_demo_ciphertext_only():
+    result = run_script("key_recovery_demo.py", "--ciphertext-only", "--trials", "20", "--max-s", "14")
+    assert result.returncode == 0, result.stderr
+    rows = {}
+    for line in result.stdout.splitlines()[2:]:
+        s, *shares = line.split()
+        rows[int(s)] = [float(share.rstrip("%")) for share in shares]
+    assert sorted(rows) == list(range(1, 15))
+    in_clear, pair, _ = rows[1]
+    assert in_clear > 0 and in_clear + pair == 100.0  # e = 1 or 2: every letter is in clear or one of 2
+    for s in range(2, 7):  # 2 <= e <= 12 everywhere: no Z is forced, so no candidate in 2..6 stands out
+        assert rows[s] == [0.0, 100.0, 0.0]
+    for s in (13, 14):  # all Z: the ciphertext shows only that s >= 13
+        assert rows[s] == [0.0, 0.0, 0.0]
