@@ -254,7 +254,8 @@ def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> s
     This is the attack the quotient key invites: an eavesdropper holding the
     quotients needs no shared s, only a short scan. The true s is always in
     the returned set when max_s reaches it; small messages may admit several
-    candidates, hence a set.
+    candidates, hence a set. A letter other than Z rules out every s >= 13, so
+    only an all-Z ciphertext is scanned past s = 12, up to max_s.
     """
     quotients = tuple(quotients)
     if len(ciphertext) != len(quotients):
@@ -270,4 +271,7 @@ def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> s
     except ValueOutOfRange:  # a negative quotient: no key holds it, so no s decrypts
         return set()
     residues, n = bytes(ciphertext.residues), len(quotients)
-    return {s for s in range(1, max_s + 1) if _decode(s, quotients, residues)[1] == n}  # fault index n: none
+    candidates = range(1, max_s + 1)  # a float max_s is a TypeError here
+    if residues.count(MODULUS) != n:  # 26 divides e! for e >= 13: an s >= 13 makes every letter Z
+        candidates = candidates[:12]
+    return {s for s in candidates if _decode(s, quotients, residues)[1] == n}  # fault index n: none

@@ -6,12 +6,16 @@ so callers (and the CLI) can distinguish toolkit failures from bugs.
 
 from __future__ import annotations
 
+import copyreg
 import math
 from functools import cached_property
 
 
 class CipherToolkitError(Exception):
     """Base class for all toolkit errors."""
+
+    def __reduce__(self):  # pickle and copy rebuild through BaseException.__new__: no __init__ reruns on args
+        return copyreg.__newobj__, (self.__class__, *self.args), self.__dict__
 
 
 def _render_int(value) -> str:

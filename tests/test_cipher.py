@@ -815,3 +815,38 @@ _letters_and_others = st.one_of(
 def test_from_letters_matches_reference(text):
     expected = _checked(_reference_from_letters, text)
     assert _checked(lambda: CipherText.from_letters(text).residues) == expected
+
+
+# 26 divides e! for every e >= 13, so under an s >= 13 every letter is Z: a ciphertext with
+# any other letter rules out every such s, and recover_s tries at most the candidates 1..12.
+def test_recover_s_computes_no_factorial_past_12_for_a_letter_other_than_z(monkeypatch):
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda k: calls.append(k) or factorial(k))
+    assert recover_s(_JBHDN, _JBHDN_QUOTIENTS, 2000) == {4}
+    assert calls and max(calls) <= 12
+
+
+@given(st.text(alphabet=ALPHABET, min_size=1, max_size=20), st.integers(13, 60))
+@settings(max_examples=50, deadline=None)
+def test_recover_s_still_scans_an_all_z_ciphertext(plaintext, s):
+    ciphertext, key = encrypt(plaintext, s)
+    assert set(ciphertext.letters) == {"Z"}
+    assert s in recover_s(ciphertext, key.quotients, 64)
+
+
+_arbitrary_pairs = st.lists(st.tuples(st.integers(0, 10**30), st.integers(1, 26)), max_size=8).map(
+    lambda pairs: (CipherText(tuple(residue for _, residue in pairs)), [quotient for quotient, _ in pairs])
+)
+
+
+@given(
+    st.one_of(tampered().map(lambda case: (case[0], case[1].quotients)), _arbitrary_pairs).filter(
+        lambda case: set(case[0].letters) - {"Z"}
+    )
+)
+@example((_JBHDN, _JBHDN_QUOTIENTS))
+@settings(max_examples=200)
+def test_recover_s_past_12_adds_nothing_for_a_letter_other_than_z(case):
+    ciphertext, quotients = case
+    assert recover_s(ciphertext, quotients, 10**9) == recover_s(ciphertext, quotients, 12)

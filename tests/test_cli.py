@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mellin_cipher import cli
 from mellin_cipher.alphabet import ALPHABET
@@ -295,8 +295,7 @@ def test_decrypt_of_mutated_files_ends_in_a_documented_exit(letters, true_s, s, 
     """Stall gate: a decrypt of a mutated key and ciphertext ends in 0, 2 or 3, in time.
 
     The key holds a short message's quotients under a drawn s, from 1 to 2**63 + 1, and
-    up to three bytes of each file are edited. recover-s is left out until its scan has a
-    closed form: at --max-s 20000 it takes about 85 s on JBHDN from a cold process.
+    up to three bytes of each file are edited. recover-s has its own gate below.
     """
     ciphertext, key = encrypt(letters, true_s)  # q1 has a few digits: s! > c1 past _EXACT_S
     files = [write_key(CipherKey(s, key.quotients)), write_ciphertext(ciphertext)]
@@ -313,6 +312,72 @@ def test_decrypt_of_mutated_files_ends_in_a_documented_exit(letters, true_s, s, 
     assert code in {EXIT_OK, EXIT_IO, EXIT_DATA}
     assert err.getvalue().count("\n") == (code != EXIT_OK)  # one line per failure, no traceback
     assert seconds < _WALL_S, (s, files)
+
+
+def _factorials_up_to_12(k, factorial=math.factorial):
+    if k > 12:  # a ciphertext with a letter other than Z rules out every s >= 13
+        raise AssertionError(f"math.factorial({k}) computed")
+    return factorial(k)
+
+
+@given(
+    letters=st.text(alphabet=ALPHABET, min_size=1, max_size=6),
+    true_s=st.integers(1, 20),
+    max_s=st.integers(1, 10**9),
+    data=st.data(),
+)
+@example(letters="HELLO", true_s=4, max_s=10**9, data=None)
+@settings(max_examples=150, deadline=None)
+def test_recover_s_of_mutated_input_ends_in_a_documented_exit(letters, true_s, max_s, data):
+    """Stall gate: a recover-s of a mutated ciphertext and quotient list ends in 0-3, in time.
+
+    Up to three bytes of each are edited, and --max-s is drawn up to 10**9. The ciphertext
+    keeps a letter other than Z, so no s >= 13 can decrypt it. An all-Z ciphertext stays out
+    until the scan has a closed form: its scan grows faster than --max-s (about 2 minutes
+    at --max-s 20000 on a 2-vCPU host).
+    """
+    ciphertext, key = encrypt(letters, true_s)
+    files = [write_ciphertext(ciphertext), ",".join(map(str, key.quotients)).encode()]
+    if data is not None:
+        files = [data.draw(_mutated(contents)) for contents in files]
+    assume(any(letter in files[0] for letter in ALPHABET[:-1].encode()))
+    quotients = files[1].decode("latin-1")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+        path = os.path.join(tmp, "ct.txt")
+        Path(path).write_bytes(files[0])
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(io.StringIO()) as err, mock.patch.object(
+            math, "factorial", _factorials_up_to_12
+        ):
+            code = main(["recover-s", "--in", path, "--quotients", quotients, "--max-s", str(max_s)])
+        seconds = time.perf_counter() - start
+    assert code in {EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_DATA}
+    if code == EXIT_USAGE:  # argparse's usage line, then the one error line
+        assert "error: argument --quotients: quotient " in err.getvalue()
+    else:
+        assert err.getvalue().count("\n") == (code != EXIT_OK)  # one line per failure, no traceback
+    assert "Traceback" not in err.getvalue()
+    assert all(1 <= int(line) <= min(max_s, 12) for line in out.getvalue().split())
+    assert seconds < _WALL_S, (max_s, files)
+
+
+def test_recover_s_at_a_huge_max_s_returns_from_a_cold_process(workdir):
+    # JBHDN has letters other than Z, so only s in 1..12 can decrypt it, whatever --max-s says
+    (workdir / "ct.txt").write_bytes(b"JBHDN\n")
+    argv = ["recover-s", "--in", "ct.txt", "--quotients", "7,23,332,2326,23261", "--max-s", "1000000000"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "mellin_cipher", *argv],
+            cwd=workdir,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("recover-s --max-s 1000000000 ran past 30 s")
+    assert (result.returncode, result.stdout, result.stderr) == (EXIT_OK, "4\n", "")
 
 
 def test_encrypt_key_past_digit_limit_writes_nothing(workdir, capsys, digit_limit):
