@@ -3,8 +3,11 @@
 The convention is A=1, B=2, ..., Z=26. The cipher represents every mod-26
 residue in 1..26 so each residue maps back to a letter; this module owns
 that alphabet and nothing else. Anything outside 'A'..'Z' is rejected,
-never dropped or substituted. Both directions check and translate in C;
-the cipher checks its letter values here too.
+never dropped or substituted. Case folding (``fold_case``) runs first and is
+``str.upper()``, which can change the text's length and turn a non-ASCII
+character into letters in 'A'..'Z': "ß" becomes "SS", "ſ" becomes "S" and
+"ﬁ" becomes "FI". The CLI folds only the bytes a..z. Both directions check
+and translate in C; the cipher checks its letter values here too.
 """
 
 from __future__ import annotations
@@ -27,11 +30,15 @@ def _letter_values(text: str, context: str) -> bytes:
 
 
 def encode_text(text: str, fold_case: bool = True) -> list[int]:
-    """Map a string to its letter values, preserving order and length.
+    """Map a string to its letter values, in order.
 
-    With ``fold_case`` (the default) lowercase letters are uppercased before
-    validation; every other non-'A'..'Z' character raises
-    :class:`NonAlphabetCharacter` carrying the offending 0-based index.
+    With ``fold_case`` (the default) the text is uppercased by ``str.upper()``
+    before validation. That can change its length and turn a non-ASCII
+    character into letters: ``encode_text("ß") == [19, 19]``,
+    ``encode_text("ſ") == [19]``, ``encode_text("ﬁ") == [6, 9]``. Without it
+    each character gives one value. Every character left outside 'A'..'Z'
+    raises :class:`NonAlphabetCharacter` carrying its 0-based index in the
+    text as validated.
     """
     return list(_letter_values(text.upper() if fold_case else text, "plaintext"))
 

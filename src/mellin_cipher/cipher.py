@@ -177,6 +177,10 @@ def encrypt(plaintext: str, s: int, fold_case: bool = True) -> tuple[CipherText,
 
     Returns the ciphertext residues and the private key (s plus the
     per-position quotients). Deterministic: equal inputs give equal outputs.
+    With ``fold_case`` (the default) the plaintext is first uppercased by
+    ``str.upper()``, as :func:`encode_text` does, which can change its length
+    and turn a non-ASCII character into letters ("straße" is encrypted as
+    "STRASSE").
     """
     values = _letter_values(plaintext.upper() if fold_case else plaintext, "plaintext")
     s, residues, quotients = _check_s(s), bytearray(len(values)), [0] * len(values)
@@ -255,7 +259,10 @@ def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> s
     quotients needs no shared s, only a short scan. The true s is always in
     the returned set when max_s reaches it; small messages may admit several
     candidates, hence a set. A letter other than Z rules out every s >= 13, so
-    only an all-Z ciphertext is scanned past s = 12, up to max_s.
+    only an all-Z ciphertext is scanned past s = 12, up to max_s. An empty
+    message returns every s in 1..max_s, so its memory is linear in max_s
+    (70.5 MB at max_s = 10**6): the caller asked for that many values. The
+    CLI streams that case instead.
     """
     quotients = tuple(quotients)
     if len(ciphertext) != len(quotients):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import refuse_factorials_past
 from hypothesis import example, given, settings, strategies as st
 
 from mellin_cipher import cipher
@@ -630,20 +631,9 @@ _JBHDN, _JBHDN_QUOTIENTS, _JBHDN_C1 = CipherText.from_letters("JBHDN"), (7, 23, 
 _GATED_S = [cipher._EXACT_S + 1, cipher._EXACT_S + 2, 10**6, sys.maxsize]
 
 
-def _refuse_factorials_past(limit, factorial=math.factorial):
-    """math.factorial that raises past ``limit``: a gate that lets a huge s through fails, not stalls."""
-
-    def guarded(k):
-        if k > limit:
-            raise AssertionError(f"math.factorial({k}) computed")
-        return factorial(k)
-
-    return guarded
-
-
 @pytest.mark.parametrize("s", [cipher._EXACT_S, *_GATED_S])
 def test_key_whose_factorial_exceeds_c1_fails_at_position_1(monkeypatch, s):
-    monkeypatch.setattr(math, "factorial", _refuse_factorials_past(cipher._EXACT_S))
+    monkeypatch.setattr(math, "factorial", refuse_factorials_past(cipher._EXACT_S))
     with pytest.raises(NotDivisible) as exc_info:
         decrypt(_JBHDN, CipherKey(s, _JBHDN_QUOTIENTS))
     error = exc_info.value
@@ -661,7 +651,7 @@ def test_key_whose_factorial_exceeds_c1_fails_at_position_1(monkeypatch, s):
 def test_gated_key_computes_no_factorial_until_divisor_is_read(monkeypatch, s):
     calls = []
     factorial = math.factorial
-    monkeypatch.setattr(math, "factorial", _refuse_factorials_past(-1))  # no factorial at all
+    monkeypatch.setattr(math, "factorial", refuse_factorials_past(-1))  # no factorial at all
     with pytest.raises(NotDivisible) as exc_info:
         decrypt(_JBHDN, CipherKey(s, _JBHDN_QUOTIENTS))
     error = exc_info.value

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import math
@@ -12,11 +13,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from conftest import default_digit_limit, refuse_factorials_past
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mellin_cipher import cli
 from mellin_cipher.alphabet import ALPHABET
-from mellin_cipher.cipher import _EXACT_S, CipherKey, encrypt
+from mellin_cipher.cipher import _EXACT_S, encrypt
 from mellin_cipher.keyio import write_ciphertext, write_key
 from mellin_cipher.cli import (
     EXIT_DATA,
@@ -53,6 +55,11 @@ def run_encrypt(workdir, s="4", infile="hello.txt", extra=()):
     )
 
 
+def run_decrypt(workdir, out="pt.txt"):
+    args = ["--key", str(workdir / "key.mk"), "--in", str(workdir / "ct.txt")]
+    return main(["decrypt", *args, "--out", str(workdir / out)])
+
+
 def test_encrypt_worked_example(workdir):
     assert run_encrypt(workdir) == EXIT_OK
     assert (workdir / "ct.txt").read_bytes() == b"JBHDN\n"
@@ -61,17 +68,7 @@ def test_encrypt_worked_example(workdir):
 
 def test_decrypt_worked_example(workdir):
     run_encrypt(workdir)
-    code = main(
-        [
-            "decrypt",
-            "--key",
-            str(workdir / "key.mk"),
-            "--in",
-            str(workdir / "ct.txt"),
-            "--out",
-            str(workdir / "pt.txt"),
-        ]
-    )
+    code = run_decrypt(workdir)
     assert code == EXIT_OK
     assert (workdir / "pt.txt").read_bytes() == b"HELLO\n"
 
@@ -79,17 +76,7 @@ def test_decrypt_worked_example(workdir):
 def test_cli_round_trip_matches_library(workdir):
     (workdir / "msg.txt").write_bytes(b"ATTACKATDAWN\n")
     assert run_encrypt(workdir, s="7", infile="msg.txt") == EXIT_OK
-    code = main(
-        [
-            "decrypt",
-            "--key",
-            str(workdir / "key.mk"),
-            "--in",
-            str(workdir / "ct.txt"),
-            "--out",
-            str(workdir / "pt.txt"),
-        ]
-    )
+    code = run_decrypt(workdir)
     assert code == EXIT_OK
     assert (workdir / "pt.txt").read_bytes() == b"ATTACKATDAWN\n"
 
@@ -185,17 +172,7 @@ def test_decrypt_corrupted_key(workdir):
     run_encrypt(workdir)
     corrupted = EXAMPLE_KEY_BYTES.replace(b"q5=23261", b"q5=23260")
     (workdir / "key.mk").write_bytes(corrupted)
-    code = main(
-        [
-            "decrypt",
-            "--key",
-            str(workdir / "key.mk"),
-            "--in",
-            str(workdir / "ct.txt"),
-            "--out",
-            str(workdir / "pt.txt"),
-        ]
-    )
+    code = run_decrypt(workdir)
     assert code == EXIT_DATA
     assert not (workdir / "pt.txt").exists()
 
@@ -211,17 +188,7 @@ def test_decrypt_corrupted_key(workdir):
 def test_decrypt_wide_integer_is_data_error(workdir, capsys, key_bytes, letters):
     (workdir / "key.mk").write_bytes(key_bytes)
     (workdir / "ct.txt").write_bytes(letters)
-    code = main(
-        [
-            "decrypt",
-            "--key",
-            str(workdir / "key.mk"),
-            "--in",
-            str(workdir / "ct.txt"),
-            "--out",
-            str(workdir / "pt.txt"),
-        ]
-    )
+    code = run_decrypt(workdir)
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -257,16 +224,7 @@ def test_decrypt_refuses_a_huge_s_before_its_factorial(workdir):
     assert result.stdout == "" and not (workdir / "pt.txt").exists()
 
 
-_WALL_S = 5.0
-
-
-def _factorials_up_to_exact_s(k, factorial=math.factorial):
-    if k > _EXACT_S:  # decrypt refuses a larger s with a small first quotient by size
-        raise AssertionError(f"math.factorial({k}) computed")
-    return factorial(k)
-
-
-_EDIT_BYTES = b"0179=\nqsnAJZz \xff"
+_EDIT_BYTES = b"0179=\nqsnAJZz \xff,-\ra"
 
 
 @st.composite
@@ -283,82 +241,90 @@ def _mutated(draw, data: bytes) -> bytes:
     return bytes(data)
 
 
+_BAD = ["0", "-1", "1.5", "x", "", "1" + "0" * 5000]  # no integer option accepts these
+_HOSTILE = [*_BAD, "100000", "1000000", str(2**63)]
+_EXITS = {  # each subcommand's documented exit codes
+    "encrypt": {EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_DATA},
+    "decrypt": {EXIT_OK, EXIT_IO, EXIT_DATA},
+    "verify-transform": {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_VERIFY},
+    "recover-s": {EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_DATA},
+}
+_VALID_USAGE = {  # the usage errors valid values still meet: --s past --max-s-param, bad --quotients
+    "encrypt": "error: --s must be in 1..",
+    "recover-s": "error: argument --quotients: quotient ",
+}
+
+
+@pytest.mark.parametrize("command", list(_EXITS))
 @given(
     letters=st.text(alphabet=ALPHABET, max_size=6),
-    true_s=st.integers(1, 6),
-    s=st.integers(1, 2**63 + 1) | st.sampled_from([10**5, 10**6]),
-    data=st.data(),
-)
-@example(letters="HELLO", true_s=4, s=10**6, data=None)
-@settings(max_examples=150, deadline=None)
-def test_decrypt_of_mutated_files_ends_in_a_documented_exit(letters, true_s, s, data):
-    """Stall gate: a decrypt of a mutated key and ciphertext ends in 0, 2 or 3, in time.
-
-    The key holds a short message's quotients under a drawn s, from 1 to 2**63 + 1, and
-    up to three bytes of each file are edited. recover-s has its own gate below.
-    """
-    ciphertext, key = encrypt(letters, true_s)  # q1 has a few digits: s! > c1 past _EXACT_S
-    files = [write_key(CipherKey(s, key.quotients)), write_ciphertext(ciphertext)]
-    if data is not None:
-        files = [data.draw(_mutated(contents)) for contents in files]
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
-        paths = [os.path.join(tmp, name) for name in ("key.mk", "ct.txt", "pt.txt")]
-        for path, contents in zip(paths, files):
-            Path(path).write_bytes(contents)
-        start = time.perf_counter()
-        with mock.patch.object(math, "factorial", _factorials_up_to_exact_s):  # a huge s! raises, not stalls
-            code = main(["decrypt", "--key", paths[0], "--in", paths[1], "--out", paths[2]])
-        seconds = time.perf_counter() - start
-    assert code in {EXIT_OK, EXIT_IO, EXIT_DATA}
-    assert err.getvalue().count("\n") == (code != EXIT_OK)  # one line per failure, no traceback
-    assert seconds < _WALL_S, (s, files)
-
-
-def _factorials_up_to_12(k, factorial=math.factorial):
-    if k > 12:  # a ciphertext with a letter other than Z rules out every s >= 13
-        raise AssertionError(f"math.factorial({k}) computed")
-    return factorial(k)
-
-
-@given(
-    letters=st.text(alphabet=ALPHABET, min_size=1, max_size=6),
     true_s=st.integers(1, 20),
-    max_s=st.integers(1, 10**9),
+    big=st.integers(1, 2**63 + 1) | st.sampled_from([10**5, 10**6]),
     data=st.data(),
 )
-@example(letters="HELLO", true_s=4, max_s=10**9, data=None)
+@example(letters="HELLO", true_s=4, big=10**6, data=None)
+@example(letters="HELLO", true_s=4, big=10**9, data=None)
 @settings(max_examples=150, deadline=None)
-def test_recover_s_of_mutated_input_ends_in_a_documented_exit(letters, true_s, max_s, data):
-    """Stall gate: a recover-s of a mutated ciphertext and quotient list ends in 0-3, in time.
+def test_hostile_input_ends_in_a_documented_exit(command, letters, true_s, big, data):
+    """Hostile-input gate: every subcommand ends in a documented exit, in time, whatever its input.
 
-    Up to three bytes of each are edited, and --max-s is drawn up to 10**9. The ciphertext
-    keeps a letter other than Z, so no s >= 13 can decrypt it. An all-Z ciphertext stays out
-    until the scan has a closed form: its scan grows faster than --max-s (about 2 minutes
-    at --max-s 20000 on a 2-vCPU host).
+    A short message is encrypted under true_s, and up to three bytes of each input made from it
+    are edited. Each number the command reads (an option, or the key's s) is true_s, big or a
+    hostile text; the explicit examples edit nothing and give big for each. Options go as
+    --option=text, so a text that starts with '-' reaches the option's own check. math.factorial
+    raises past 10**4, and past 12 for recover-s, whose ciphertext keeps a letter other than Z
+    and so rules out every s >= 13. An all-Z ciphertext stays out until the scan has a closed
+    form: its scan grows faster than --max-s (about 2 minutes at --max-s 20000, 2-vCPU host).
     """
-    ciphertext, key = encrypt(letters, true_s)
-    files = [write_ciphertext(ciphertext), ",".join(map(str, key.quotients)).encode()]
-    if data is not None:
-        files = [data.draw(_mutated(contents)) for contents in files]
-    assume(any(letter in files[0] for letter in ALPHABET[:-1].encode()))
-    quotients = files[1].decode("latin-1")
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
-        path = os.path.join(tmp, "ct.txt")
-        Path(path).write_bytes(files[0])
+    values = []
+
+    def value(*valid):
+        choices = st.sampled_from(valid or (str(true_s), str(big))) | st.sampled_from(_HOSTILE)
+        values.append(str(big) if data is None else data.draw(choices))
+        return values[-1]
+
+    def mutated(contents):
+        return contents if data is None else data.draw(_mutated(contents))
+
+    ciphertext, key = encrypt(letters, true_s)  # q1 has a few digits: s! > c1 past _EXACT_S
+    with tempfile.TemporaryDirectory() as tmp:
+        path, files = functools.partial(os.path.join, tmp), {}
+        if command == "encrypt":
+            files["pt.txt"] = mutated(letters.encode() + b"\n")
+            fold = "--no-fold-case" if data is not None and data.draw(st.booleans()) else "--fold-case"
+            argv = [f"--s={value()}", f"--max-s-param={value()}", fold, "--in", path("pt.txt")]
+            argv += ["--out", path("ct.txt"), "--key-out", path("key.mk")]
+        elif command == "decrypt":
+            key_bytes = write_key(key).replace(b"\ns=%d\n" % true_s, b"\ns=%s\n" % value().encode(), 1)
+            files = {"key.mk": mutated(key_bytes), "ct.txt": mutated(write_ciphertext(ciphertext))}
+            argv = ["--key", path("key.mk"), "--in", path("ct.txt"), "--out", path("pt.txt")]
+        elif command == "verify-transform":
+            argv = [f"--n-max={value()}", f"--s-max={value()}", f"--tol={value('1e-9', '1e-30')}"]
+        else:
+            files["ct.txt"] = mutated(write_ciphertext(ciphertext))
+            assume(any(letter in files["ct.txt"] for letter in ALPHABET[:-1].encode()))
+            quotients = mutated(",".join(map(str, key.quotients)).encode()).decode("latin-1")
+            argv = ["--in", path("ct.txt"), f"--quotients={quotients}", f"--max-s={value()}"]
+        for name, contents in files.items():
+            Path(path(name)).write_bytes(contents)
+        limit, out, err = 12 if command == "recover-s" else _EXACT_S, io.StringIO(), io.StringIO()
         start = time.perf_counter()
-        with contextlib.redirect_stderr(io.StringIO()) as err, mock.patch.object(
-            math, "factorial", _factorials_up_to_12
-        ):
-            code = main(["recover-s", "--in", path, "--quotients", quotients, "--max-s", str(max_s)])
+        # the digit limit is pinned here, as hypothesis refuses the function-scoped digit_limit fixture
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), default_digit_limit():
+            with mock.patch.object(math, "factorial", refuse_factorials_past(limit)):
+                code = main([command, *argv])
         seconds = time.perf_counter() - start
-    assert code in {EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_DATA}
-    if code == EXIT_USAGE:  # argparse's usage line, then the one error line
-        assert "error: argument --quotients: quotient " in err.getvalue()
-    else:
-        assert err.getvalue().count("\n") == (code != EXIT_OK)  # one line per failure, no traceback
-    assert "Traceback" not in err.getvalue()
-    assert all(1 <= int(line) <= min(max_s, 12) for line in out.getvalue().split())
-    assert seconds < _WALL_S, (max_s, files)
+    err = err.getvalue()
+    assert code in _EXITS[command] and "Traceback" not in err
+    if code == EXIT_USAGE:  # argparse's usage lines, then the one error line
+        lines = err.splitlines()
+        assert err.endswith("\n") and [line for line in lines if "error:" in line] == lines[-1:]
+        assert not set(values).isdisjoint(_BAD) or _VALID_USAGE.get(command, "\0") in lines[-1]
+    else:  # one line per failure; verify-transform's one line is its summary or its error
+        assert err.count("\n") == (1 if command == "verify-transform" else code != EXIT_OK)
+    if command == "recover-s":  # values[0] is --max-s
+        assert all(1 <= int(line) <= min(int(values[0]), 12) for line in out.getvalue().split())
+    assert seconds < 5.0, (command, argv, files)
 
 
 def test_recover_s_at_a_huge_max_s_returns_from_a_cold_process(workdir):
@@ -394,7 +360,7 @@ def test_encrypt_key_past_digit_limit_writes_nothing(workdir, capsys, digit_limi
 def test_encrypt_rejects_unwritable_s_before_any_factorial(workdir, capsys, monkeypatch, digit_limit, s):
     # the gate starts at s = 1560 (every quotient then has more than 4300 digits); 10**19 is past
     # what math.factorial accepts
-    monkeypatch.setattr(math, "factorial", lambda k: pytest.fail(f"factorial({k}) computed"))
+    monkeypatch.setattr(math, "factorial", refuse_factorials_past(-1))  # no factorial at all
     assert run_encrypt(workdir, s=s, extra=("--max-s-param", s)) == EXIT_DATA
     assert capsys.readouterr().err == (
         f"mellin-cipher: cannot write key: an integer has more than {digit_limit} digits "
@@ -493,11 +459,6 @@ def test_encrypt_keeps_file_modes(workdir):
     assert sorted(p.name for p in workdir.iterdir()) == ["ct.txt", "hello.txt", "key.mk"]
 
 
-def run_decrypt(workdir, out="pt.txt"):
-    args = ["--key", str(workdir / "key.mk"), "--in", str(workdir / "ct.txt")]
-    return main(["decrypt", *args, "--out", str(workdir / out)])
-
-
 @pytest.mark.parametrize(
     "out, message",
     [
@@ -544,17 +505,7 @@ def test_decrypt_key_field_past_digit_limit(workdir, capsys, digit_limit, field)
     run_encrypt(workdir)
     wide = field.split(b"=")[0] + b"=1" + b"0" * 5000
     (workdir / "key.mk").write_bytes(EXAMPLE_KEY_BYTES.replace(field, wide))
-    code = main(
-        [
-            "decrypt",
-            "--key",
-            str(workdir / "key.mk"),
-            "--in",
-            str(workdir / "ct.txt"),
-            "--out",
-            str(workdir / "pt.txt"),
-        ]
-    )
+    code = run_decrypt(workdir)
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -594,17 +545,7 @@ _LONG = 5000  # characters in the rejected field: far more than a message quotes
 def test_decrypt_long_key_line_is_quoted_short(workdir, capsys, key_bytes, message):
     (workdir / "key.mk").write_bytes(key_bytes)
     (workdir / "ct.txt").write_bytes(b"JBHDN\n")
-    code = main(
-        [
-            "decrypt",
-            "--key",
-            str(workdir / "key.mk"),
-            "--in",
-            str(workdir / "ct.txt"),
-            "--out",
-            str(workdir / "pt.txt"),
-        ]
-    )
+    code = run_decrypt(workdir)
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert len(err.encode()) < 500
@@ -614,17 +555,7 @@ def test_decrypt_long_key_line_is_quoted_short(workdir, capsys, key_bytes, messa
 def test_decrypt_malformed_key_file(workdir):
     run_encrypt(workdir)
     (workdir / "key.mk").write_bytes(b"NOT-A-KEY\n")
-    code = main(
-        [
-            "decrypt",
-            "--key",
-            str(workdir / "key.mk"),
-            "--in",
-            str(workdir / "ct.txt"),
-            "--out",
-            str(workdir / "pt.txt"),
-        ]
-    )
+    code = run_decrypt(workdir)
     assert code == EXIT_DATA
 
 

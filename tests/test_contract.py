@@ -16,7 +16,8 @@ one for an empty message). decrypt under a large s is not in that list: above
 s = 10**4 it refuses a key whose s! provably exceeds its first coefficient
 before it computes any factorial, so a 5-letter key costs no factorial at
 s = 10**6 (it took 10.6 s before that gate). tests/test_cipher.py and the
-stall gate in tests/test_cli.py drive decrypt over that range instead.
+hostile-input gate in tests/test_cli.py (test_hostile_input_ends_in_a_documented_exit)
+drive decrypt over that range instead.
 """
 
 import math
