@@ -8,7 +8,6 @@ named files.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import errno
 import math
@@ -32,77 +31,116 @@ DEFAULT_MAX_S_PARAM = 64
 _CHUNK = 1 << 16  # candidates per write when recover-s lists every s
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad arguments; the contract wants 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _nonneg_int_list(text: str) -> list[int]:
-    if text == "":
-        return []
     values = []
-    for index, token in enumerate(text.split(","), start=1):
+    for index, token in enumerate(text.split(",") if text else (), start=1):
         token = token.strip()
         if not (token.isascii() and token.isdigit()):
-            shown = _quote(token)
-            raise argparse.ArgumentTypeError(f"quotient {index} is not a decimal >= 0: {shown}")
+            raise ValueError(f"quotient {index} is not a decimal >= 0: {_quote(token)}")
         try:
             values.append(int(token))
         except ValueError:  # str -> int refuses integers past the digit limit
-            raise argparse.ArgumentTypeError(f"quotient {index} has {keyio._too_wide()}") from None
+            raise ValueError(f"quotient {index} has {keyio._too_wide()}") from None
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mellin-cipher", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+def build_parser() -> dict[str, tuple]:
+    """Each command's summary, handler and options: option -> (dest, type, default or None if required, help)."""
+    return {
+        "encrypt": ("encrypt a letters-only file", _cmd_encrypt, {
+            "--s": ("s", int, None, "secret parameter (>= 1)"),
+            "--in": ("infile", str, None, "plaintext file"),
+            "--out": ("outfile", str, None, "ciphertext file to write"),
+            "--key-out": ("keyfile", str, None, "key file to write"),
+            "--fold-case": ("fold_case", bool, True, "uppercase the input before validation"),  # and --no-fold-case
+            "--max-s-param": ("max_s_param", int, DEFAULT_MAX_S_PARAM, "upper bound accepted for --s"),
+        }),
+        "decrypt": ("decrypt a ciphertext file with a key file", _cmd_decrypt, {
+            "--key": ("keyfile", str, None, "key file"),
+            "--in": ("infile", str, None, "ciphertext file"),
+            "--out": ("outfile", str, None, "plaintext file to write"),
+        }),
+        "verify-transform": ("check the integral identity on an (n, s) grid", _cmd_verify_transform, {
+            "--n-max": ("n_max", int, 6, "largest n"),
+            "--s-max": ("s_max", int, 6, "largest s"),
+            "--tol": ("tol", float, 1e-9, "relative tolerance"),
+        }),
+        "recover-s": ("scan for secret parameters consistent with ciphertext + quotients", _cmd_recover_s, {
+            "--in": ("infile", str, None, "ciphertext file"),
+            "--quotients": ("quotients", _nonneg_int_list, None, "comma-separated quotients ('' for none)"),
+            "--max-s": ("max_s", int, None, "largest s to try (>= 1)"),
+        }),
+    }
 
-    p_enc = commands.add_parser("encrypt", help="encrypt a letters-only file")
-    p_enc.add_argument("--s", type=int, required=True, help="secret parameter (>= 1)")
-    p_enc.add_argument("--in", dest="infile", required=True, help="plaintext file")
-    p_enc.add_argument("--out", dest="outfile", required=True, help="ciphertext file to write")
-    p_enc.add_argument("--key-out", dest="keyfile", required=True, help="key file to write")
-    p_enc.add_argument(
-        "--fold-case",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="uppercase the input before validation (default: on)",
-    )
-    p_enc.add_argument(
-        "--max-s-param",
-        type=int,
-        default=DEFAULT_MAX_S_PARAM,
-        help=f"upper bound accepted for --s (default {DEFAULT_MAX_S_PARAM})",
-    )
 
-    p_dec = commands.add_parser("decrypt", help="decrypt a ciphertext file with a key file")
-    p_dec.add_argument("--key", dest="keyfile", required=True, help="key file")
-    p_dec.add_argument("--in", dest="infile", required=True, help="ciphertext file")
-    p_dec.add_argument("--out", dest="outfile", required=True, help="plaintext file to write")
+def _fail(message: str, usage: str = "", prog: str = "mellin-cipher"):
+    print(f"{usage}{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
-    p_ver = commands.add_parser(
-        "verify-transform", help="check the integral identity on an (n, s) grid"
-    )
-    p_ver.add_argument("--n-max", type=int, default=6, help="largest n (default 6)")
-    p_ver.add_argument("--s-max", type=int, default=6, help="largest s (default 6)")
-    p_ver.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
 
-    p_rec = commands.add_parser(
-        "recover-s", help="scan for secret parameters consistent with ciphertext + quotients"
-    )
-    p_rec.add_argument("--in", dest="infile", required=True, help="ciphertext file")
-    p_rec.add_argument(
-        "--quotients",
-        type=_nonneg_int_list,
-        required=True,
-        help="comma-separated quotients ('' for an empty message)",
-    )
-    p_rec.add_argument("--max-s", type=int, required=True, help="largest s to try (>= 1)")
+def _read(prog: str, summary: str, options: dict, words: Sequence[str], rows=()) -> tuple[dict, list]:
+    """Read words against one option table: the values by dest, and the words it does not know.
 
-    return parser
+    An option is its name or a unique prefix of it; a bool one is a flag with a --no- form. Its
+    value is the text after '=', or else the next word, whatever it starts with. The last of a
+    repeated option wins. -h or --help prints help and raises SystemExit(0); a bad word or a
+    missing option prints argparse's usage and error lines and raises SystemExit(1).
+    """
+    usage, rows = [f"usage: {prog} [-h]"], [*rows, ("-h, --help", "show this help and exit")]
+    for name, (dest, kind, default, text) in options.items():
+        shown = f"{name} | --no-{name[2:]}" if kind is bool else f"{name} {dest.upper()}"
+        usage.append(shown if default is None else f"[{shown}]")
+        rows.append((shown, f"{text} ({'required' if default is None else f'default: {default}'})"))
+    usage = " ".join(usage) + ("" if options else " command ...") + "\n"
+    flags = {"-h": None, "--help": None, **options}
+    flags.update({f"--no-{name[2:]}": spec for name, spec in options.items() if spec[1] is bool})
+    values = {dest: default for dest, _, default, _ in options.values() if default is not None}
+    extras, words = [], iter(words)
+    for word in words:
+        name, eq, text = word.partition("=")
+        found = [flag for flag in flags if flag == name]
+        if not found and name.startswith("--") and name != "--":  # no table has an ambiguous prefix
+            found = [flag for flag in flags if flag.startswith(name)]
+        if len(found) != 1:
+            extras.append(word)
+            continue
+        dest, kind, *_ = flags[found[0]] or (None, None)  # no dest: -h or --help
+        if eq and kind in (None, bool):
+            _fail(f"argument {found[0]}: ignored explicit argument {text!r}", usage, prog)
+        if dest is None:
+            print(usage, summary, "", *(f"  {left:<28} {right}" for left, right in rows), sep="\n")
+            raise SystemExit(EXIT_OK)
+        if kind is bool:
+            values[dest] = not found[0].startswith("--no-")
+        elif not eq and (text := next(words, None)) is None:
+            _fail(f"argument {found[0]}: expected one argument", usage, prog)
+        else:
+            try:
+                values[dest] = kind(text)
+            except ValueError as exc:  # int and float are named as argparse named them
+                reason = exc if kind is _nonneg_int_list else f"invalid {kind.__name__} value: {text!r}"
+                _fail(f"argument {found[0]}: {reason}", usage, prog)
+    if missing := [name for name, spec in options.items() if spec[0] not in values]:
+        _fail(f"the following arguments are required: {', '.join(missing)}", usage, prog)
+    return values, extras
+
+
+def _parse(commands: dict, argv: Sequence[str]) -> tuple:
+    """The handler of the command argv names, and its option values by dest (see _read)."""
+    prog, usage = "mellin-cipher", "usage: mellin-cipher [-h] command ...\n"
+    at = next((i for i, word in enumerate(argv) if word[:1] != "-"), len(argv))  # the command
+    rows = [(name, summary) for name, (summary, *_) in commands.items()]
+    extras = _read(prog, __doc__.splitlines()[0], {}, argv[:at], rows)[1]
+    if at == len(argv):
+        _fail("the following arguments are required: command", usage)
+    if argv[at] not in commands:
+        choices = ", ".join(map(repr, commands))
+        _fail(f"argument command: invalid choice: {argv[at]!r} (choose from {choices})", usage)
+    summary, handler, options = commands[argv[at]]
+    values, more = _read(f"{prog} {argv[at]}", summary, options, argv[at + 1 :])
+    if extras or more:
+        _fail(f"unrecognized arguments: {' '.join(extras + more)}", usage)
+    return handler, values
 
 
 def _read_plaintext(path: str, fold_case: bool) -> str:
@@ -144,101 +182,78 @@ def _write_all_or_none(outputs: list[tuple[str, bytes]]) -> None:
                 os.remove(temp)
 
 
-def _cmd_encrypt(args) -> int:
-    if args.max_s_param < 1:
-        print("mellin-cipher: error: --max-s-param must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if not 1 <= args.s <= args.max_s_param:
-        print(
-            f"mellin-cipher: error: --s must be in 1..{args.max_s_param} "
-            "(raise --max-s-param for larger values)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if os.path.realpath(args.outfile) == os.path.realpath(args.keyfile):  # one replaces the other
-        print("mellin-cipher: error: --out and --key-out name the same file", file=sys.stderr)
-        return EXIT_USAGE
-    plaintext = _read_plaintext(args.infile, args.fold_case)
+def _cmd_encrypt(s: int, infile: str, outfile: str, keyfile: str, fold_case: bool, max_s_param: int) -> int:
+    if max_s_param < 1:
+        _fail("--max-s-param must be >= 1")
+    if not 1 <= s <= max_s_param:
+        _fail(f"--s must be in 1..{max_s_param} (raise --max-s-param for larger values)")
+    if os.path.realpath(outfile) == os.path.realpath(keyfile):  # one replaces the other
+        _fail("--out and --key-out name the same file")
+    plaintext = _read_plaintext(infile, fold_case)
     limit = sys.get_int_max_str_digits()  # 0 is no limit
     # Each quotient is at least (s! - 26) / 26, so none fits the limit once log10(s!) > limit + 3;
     # skip the factorial then. Past 10**300 (not a float) log10(s!) is larger still.
-    if plaintext and limit and math.lgamma(min(args.s, 10**300) + 1) / math.log(10) > limit + 3:
+    if plaintext and limit and math.lgamma(min(s, 10**300) + 1) / math.log(10) > limit + 3:
         encode_text(plaintext, fold_case=False)  # a bad letter is named first, as encrypt names it
         raise keyio._unwritable()
-    ciphertext, key = encrypt(plaintext, args.s, fold_case=False)
-    _write_all_or_none(
-        [(args.keyfile, keyio.write_key(key)), (args.outfile, keyio.write_ciphertext(ciphertext))]
-    )
+    ciphertext, key = encrypt(plaintext, s, fold_case=False)
+    _write_all_or_none([(keyfile, keyio.write_key(key)), (outfile, keyio.write_ciphertext(ciphertext))])
     return EXIT_OK
 
 
-def _cmd_decrypt(args) -> int:
-    with open(args.keyfile, "rb") as handle:
+def _cmd_decrypt(keyfile: str, infile: str, outfile: str) -> int:
+    with open(keyfile, "rb") as handle:
         key = keyio.read_key(handle.read())
-    with open(args.infile, "rb") as handle:
+    with open(infile, "rb") as handle:
         ciphertext = keyio.read_ciphertext(handle.read())
-    _write_all_or_none([(args.outfile, decrypt(ciphertext, key).encode("ascii") + b"\n")])
+    _write_all_or_none([(outfile, decrypt(ciphertext, key).encode("ascii") + b"\n")])
     return EXIT_OK
 
 
-def _cmd_verify_transform(args) -> int:
+def _cmd_verify_transform(n_max: int, s_max: int, tol: float) -> int:
     from .oracle import numeric_mellin  # the only command that needs the oracle
 
-    if args.n_max < 1 or args.s_max < 1:
-        print("mellin-cipher: error: --n-max and --s-max must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if not args.tol > 0:  # NaN too
-        print("mellin-cipher: error: --tol must be > 0", file=sys.stderr)
-        return EXIT_USAGE
+    if n_max < 1 or s_max < 1:
+        _fail("--n-max and --s-max must be >= 1")
+    if not tol > 0:  # NaN too
+        _fail("--tol must be > 0")
     failures = 0
     print(f"{'n':>3} {'s':>3} {'exponent':>8} {'numeric':>24} {'exact':>20} {'rel_err':>10} status")
-    for n in range(1, args.n_max + 1):
-        for s in range(1, args.s_max + 1):
+    for n in range(1, n_max + 1):
+        for s in range(1, s_max + 1):
             result = numeric_mellin(n, s)
-            ok = result.relative_error <= args.tol
+            ok = result.relative_error <= tol
             failures += not ok
             print(
                 f"{n:>3} {s:>3} {s + n - 1:>8} {result.numeric:>24.12e} "
                 f"{result.exact:>20} {result.relative_error:>10.2e} {'PASS' if ok else 'FAIL'}"
             )
-    total = args.n_max * args.s_max
-    print(f"verify-transform: {total - failures}/{total} pass (tol {args.tol:g})", file=sys.stderr)
+    total = n_max * s_max
+    print(f"verify-transform: {total - failures}/{total} pass (tol {tol:g})", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def _cmd_recover_s(args) -> int:
-    if args.max_s < 1:
-        print("mellin-cipher: error: --max-s must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    with open(args.infile, "rb") as handle:
+def _cmd_recover_s(infile: str, quotients: list[int], max_s: int) -> int:
+    if max_s < 1:
+        _fail("--max-s must be >= 1")
+    with open(infile, "rb") as handle:
         ciphertext = keyio.read_ciphertext(handle.read())
-    if not args.quotients and not len(ciphertext):  # every s decrypts it: list them without a set
-        for start in range(1, args.max_s + 1, _CHUNK):
-            stop = min(start + _CHUNK, args.max_s + 1)
+    if not quotients and not len(ciphertext):  # every s decrypts it: list them without a set
+        for start in range(1, max_s + 1, _CHUNK):
+            stop = min(start + _CHUNK, max_s + 1)
             sys.stdout.write("".join(map("{}\n".format, range(start, stop))))
         return EXIT_OK
-    candidates = sorted(recover_s(ciphertext, args.quotients, args.max_s))
-    sys.stdout.writelines(f"{s}\n" for s in candidates)
+    sys.stdout.writelines(f"{s}\n" for s in sorted(recover_s(ciphertext, quotients, max_s)))
     return EXIT_OK
-
-
-_HANDLERS = {
-    "encrypt": _cmd_encrypt,
-    "decrypt": _cmd_decrypt,
-    "verify-transform": _cmd_verify_transform,
-    "recover-s": _cmd_recover_s,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; returns the exit code instead of exiting."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # raised by --help (0) and by _Parser.error (1)
-        return int(exc.code or 0)
-    try:
-        return _HANDLERS[args.command](args)
+        handler, values = _parse(build_parser(), sys.argv[1:] if argv is None else argv)
+        return handler(**values)
+    except SystemExit as exc:  # raised by -h (0) and by _fail (1)
+        return int(exc.code)
     except OSError as exc:
         print(f"mellin-cipher: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

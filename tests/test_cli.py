@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import functools
 import hashlib
 import io
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -163,9 +165,55 @@ def test_bound_below_one_is_usage_error(workdir, capsys, monkeypatch, argv, mess
     assert sorted(os.listdir(workdir)) == ["hello.txt"]
 
 
+_HELP = {  # command -> (option, the end of its help line)
+    "encrypt": [
+        ("--s S", "secret parameter (>= 1) (required)"),
+        ("--in INFILE", "plaintext file (required)"),
+        ("--out OUTFILE", "ciphertext file to write (required)"),
+        ("--key-out KEYFILE", "key file to write (required)"),
+        ("--fold-case | --no-fold-case", "uppercase the input before validation (default: True)"),
+        ("--max-s-param MAX_S_PARAM", "upper bound accepted for --s (default: 64)"),
+    ],
+    "decrypt": [
+        ("--key KEYFILE", "key file (required)"),
+        ("--in INFILE", "ciphertext file (required)"),
+        ("--out OUTFILE", "plaintext file to write (required)"),
+    ],
+    "verify-transform": [
+        ("--n-max N_MAX", "largest n (default: 6)"),
+        ("--s-max S_MAX", "largest s (default: 6)"),
+        ("--tol TOL", "relative tolerance (default: 1e-09)"),
+    ],
+    "recover-s": [
+        ("--in INFILE", "ciphertext file (required)"),
+        ("--quotients QUOTIENTS", "comma-separated quotients ('' for none) (required)"),
+        ("--max-s MAX_S", "largest s to try (>= 1) (required)"),
+    ],
+}
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "encrypt" in capsys.readouterr().out
+    for command, options in _HELP.items():  # each option, its help text and its default
+        for flag in ("-h", "--help"):
+            assert main([command, flag]) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert err == "" and out.startswith(f"usage: mellin-cipher {command} ")
+            lines = out.splitlines()
+            for option, text in options:
+                assert any(option in line and line.endswith(text) for line in lines), (command, option)
+
+
+def test_value_word_may_start_with_a_dash(workdir, capsys):
+    # the word after an option that takes a value is that value, so the quotient check sees '-7'
+    argv = ["recover-s", "--in", str(workdir / "hello.txt"), "--quotients", "-7,23", "--max-s", "8"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "mellin-cipher recover-s: error: argument --quotients: quotient 1 is not a decimal >= 0: '-7'"
+    )
+    assert main(["verify-transform", "--n-max", "-1"]) == EXIT_USAGE  # a negative number, as before
+    assert capsys.readouterr().err == "mellin-cipher: error: --n-max and --s-max must be >= 1\n"
 
 
 def test_decrypt_corrupted_key(workdir):
@@ -316,7 +364,7 @@ def test_hostile_input_ends_in_a_documented_exit(command, letters, true_s, big, 
         seconds = time.perf_counter() - start
     err = err.getvalue()
     assert code in _EXITS[command] and "Traceback" not in err
-    if code == EXIT_USAGE:  # argparse's usage lines, then the one error line
+    if code == EXIT_USAGE:  # the usage line, then the one error line
         lines = err.splitlines()
         assert err.endswith("\n") and [line for line in lines if "error:" in line] == lines[-1:]
         assert not set(values).isdisjoint(_BAD) or _VALID_USAGE.get(command, "\0") in lines[-1]
@@ -325,6 +373,171 @@ def test_hostile_input_ends_in_a_documented_exit(command, letters, true_s, big, 
     if command == "recover-s":  # values[0] is --max-s
         assert all(1 <= int(line) <= min(int(values[0]), 12) for line in out.getvalue().split())
     assert seconds < 5.0, (command, argv, files)
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    # argparse exits with status 2 on bad arguments; the contract wants 1
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
+def _reference_quotients(text):
+    try:
+        return cli._nonneg_int_list(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that the option table replaced, as it was."""
+    parser = _ReferenceParser(prog="mellin-cipher", description=cli.__doc__.splitlines()[0])
+    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+
+    p_enc = commands.add_parser("encrypt", help="encrypt a letters-only file")
+    p_enc.add_argument("--s", type=int, required=True, help="secret parameter (>= 1)")
+    p_enc.add_argument("--in", dest="infile", required=True, help="plaintext file")
+    p_enc.add_argument("--out", dest="outfile", required=True, help="ciphertext file to write")
+    p_enc.add_argument("--key-out", dest="keyfile", required=True, help="key file to write")
+    p_enc.add_argument(
+        "--fold-case",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="uppercase the input before validation (default: on)",
+    )
+    p_enc.add_argument(
+        "--max-s-param",
+        type=int,
+        default=cli.DEFAULT_MAX_S_PARAM,
+        help=f"upper bound accepted for --s (default {cli.DEFAULT_MAX_S_PARAM})",
+    )
+
+    p_dec = commands.add_parser("decrypt", help="decrypt a ciphertext file with a key file")
+    p_dec.add_argument("--key", dest="keyfile", required=True, help="key file")
+    p_dec.add_argument("--in", dest="infile", required=True, help="ciphertext file")
+    p_dec.add_argument("--out", dest="outfile", required=True, help="plaintext file to write")
+
+    p_ver = commands.add_parser(
+        "verify-transform", help="check the integral identity on an (n, s) grid"
+    )
+    p_ver.add_argument("--n-max", type=int, default=6, help="largest n (default 6)")
+    p_ver.add_argument("--s-max", type=int, default=6, help="largest s (default 6)")
+    p_ver.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
+
+    p_rec = commands.add_parser(
+        "recover-s", help="scan for secret parameters consistent with ciphertext + quotients"
+    )
+    p_rec.add_argument("--in", dest="infile", required=True, help="ciphertext file")
+    p_rec.add_argument(
+        "--quotients",
+        type=_reference_quotients,
+        required=True,
+        help="comma-separated quotients ('' for an empty message)",
+    )
+    p_rec.add_argument("--max-s", type=int, required=True, help="largest s to try (>= 1)")
+
+    return parser
+
+
+def _outcome(parse, argv):
+    """(exit code or None if accepted, parsed values by dest, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), default_digit_limit():
+        try:
+            values = parse(argv)
+        except SystemExit as exc:
+            return exc.code, None, out.getvalue(), err.getvalue()
+    return None, {name: repr(value) for name, value in values.items()}, out.getvalue(), err.getvalue()
+
+
+def _parse_with_table(argv):
+    table = cli.build_parser()
+    handler, values = cli._parse(table, argv)
+    return {"command": next(name for name, (_, h, _) in table.items() if h is handler), **values}
+
+
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as values, not options
+_WORDS = ["foo", "x=1", "-", "-x", "--bogus", "--bogus=1", "encrypt", "-h", "--h", "--help=x"]
+_VALID = {  # values that each option type accepts, negative numbers among them
+    int: ["4", "64", "-7", "+3", " 7"],
+    float: ["1e-9", "-1.5", "-.5", "nan"],
+    str: ["hello.txt", ""],
+    cli._nonneg_int_list: ["7,23", " 7 ,23", ""],
+}
+_VALUES = [*_HOSTILE, "-7,23", "1,zap", "1,,2", "x" + "0" * 30, "-h", "--in", "--s=4", "- 1", "-"]
+
+
+def _value_words_read_as_options(options, words):
+    """Whether the word after an option that takes a value starts with '-' and is no plain negative number."""
+    words = iter(words)
+    for word in words:
+        long = word.startswith("--") and len(word) > 2
+        found = [o for o in options if o == word] or [o for o in options if long and o.startswith(word)]
+        if len(found) == 1 and options[found[0]][1] is not bool:
+            value = next(words, "")
+            if value.startswith("-") and not _NEGATIVE.match(value):
+                return True
+    return False
+
+
+@st.composite
+def _argv(draw):
+    """Maybe a word before the command, the command, most of its required options, up to 4 more items."""
+    table = cli.build_parser()
+    command = draw(st.sampled_from([*table, *table, *table, "frobnicate", "encryp", None]))
+    words = draw(st.sampled_from([[], [], [], [], ["-h"], ["--he"], ["--bogus"], ["-x"]]))
+    if command is None:  # argparse took the first word that is '-' or a negative number for the command
+        return words
+    words.append(command)
+    options = table.get(command, (None, None, {}))[2]
+    names = [*options, *(f"--no-{name[2:]}" for name, spec in options.items() if spec[1] is bool)]
+    unique = [name[:k] for name in names for k in range(3, len(name))]
+    unique = [prefix for prefix in unique if sum(o.startswith(prefix) for o in [*names, "--help"]) == 1]
+    other = ["--tol", "--s", "--key", "--in"]  # options of other commands; --s is a prefix of --s-max
+    option = st.sampled_from([*names, *unique, *other])
+    value = st.sampled_from([value for values in _VALID.values() for value in values] + _VALUES)
+    required = [name for name, spec in options.items() if spec[2] is None]
+    items = [[name, draw(st.sampled_from(_VALID[options[name][1]]))] for name in required if draw(st.integers(0, 7))]
+    items += draw(st.lists(st.one_of(
+        st.tuples(option, value).map(list),  # --option value
+        st.tuples(option, value).map(lambda pair: ["=".join(pair)]),  # --option=value
+        option.map(lambda name: [name]),  # a flag, or a value missing
+        st.sampled_from(_WORDS).map(lambda word: [word]),  # help or an unknown word
+    ), max_size=4))
+    for item in draw(st.permutations(items)):
+        words += item
+    return words
+
+
+@given(argv=_argv())
+@example(argv=["recover-s", "--in", "ct.txt", "--quotients", "1,zap", "--max-s", "8"])
+@example(argv=["encrypt", "--ma", "100", "--s=-1", "--in", "a", "--out", "b", "--key-out", "c", "--no-f"])
+@example(argv=["verify-transform", "--s", "3", "--s=-4", "--n", "x"])
+@settings(max_examples=400, deadline=None)
+def test_table_parser_matches_the_argparse_parser_it_replaced(argv):
+    """Differential test: the option table reads each command line as the argparse parser did.
+
+    Both give the same exit code (None when they accept) and the same values when both accept.
+    Each usage error ends in one error line, the same last line as argparse's, but for a flag
+    given a value with '=', which argparse named by both its forms (-h/--help). A draw in which
+    a value word starts with '-' and is not a plain negative number is left out: argparse read
+    such a word as an option and refused the line, where the table parser reads it as the value
+    (test_value_word_may_start_with_a_dash).
+    """
+    command = next((word for word in argv if word[:1] != "-"), None)  # the words before it start with '-'
+    options = cli.build_parser().get(command, (None, None, {}))[2]
+    assume(not _value_words_read_as_options(options, argv))
+    ref = _outcome(lambda words: vars(_reference_parser().parse_args(words)), argv)
+    new = _outcome(_parse_with_table, argv)
+    assert new[:2] == ref[:2], (argv, ref, new)
+    if new[0] == EXIT_USAGE:
+        lines = new[3].splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        if "ignored explicit argument" not in ref[3]:  # argparse named a flag by both its forms
+            assert lines[-1] == ref[3].splitlines()[-1], argv
+    if new[0] == EXIT_OK:
+        assert new[2].startswith("usage: mellin-cipher") and new[3] == ""
 
 
 def test_recover_s_at_a_huge_max_s_returns_from_a_cold_process(workdir):
@@ -705,7 +918,7 @@ def test_cold_commands_skip_heavy_imports(workdir):
         "    main(['decrypt', '--key', 'key.mk', '--in', 'ct.txt', '--out', 'pt.txt']),\n"
         "    main(['recover-s', '--in', 'ct.txt', '--quotients', '7,23,332,2326,23261', '--max-s', '8']),\n"
         "]\n"
-        "heavy = ('dataclasses', 'inspect', 'typing', 'numpy')\n"
+        "heavy = ('dataclasses', 'inspect', 'typing', 'numpy', 'argparse', 'gettext', 'locale', 're', 'shutil')\n"
         "print(codes, [name for name in heavy if name in sys.modules], file=sys.stderr)\n"
     )
     result = subprocess.run(
