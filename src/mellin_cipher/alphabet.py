@@ -13,6 +13,7 @@ and translate in C; the cipher checks its letter values here too.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import accumulate
 
 from .errors import NonAlphabetCharacter, ValueOutOfRange
 
@@ -22,11 +23,14 @@ _TO_VALUES = bytes.maketrans(ALPHABET.encode(), _VALUES)
 _TO_LETTERS = bytes.maketrans(_VALUES, ALPHABET.encode())
 
 
-def _letter_values(text: str, context: str) -> bytes:
-    rest = text.lstrip(ALPHABET)  # the text from its first non-letter on
-    if rest:
-        raise NonAlphabetCharacter(rest[0], len(text) - len(rest), context)
-    return text.encode().translate(_TO_VALUES)
+def _letter_values(text: str, context: str, fold_case: bool = False) -> bytes:
+    folded = text.upper() if fold_case else text
+    if rest := folded.lstrip(ALPHABET):  # the folded text from its first non-letter on
+        index = len(folded) - len(rest)
+        if fold_case:  # upper() folds each character alone: name the one whose fold holds rest[0]
+            index = next(i for i, end in enumerate(accumulate(len(c.upper()) for c in text)) if end > index)
+        raise NonAlphabetCharacter(rest[0], index, context)
+    return folded.encode().translate(_TO_VALUES)
 
 
 def encode_text(text: str, fold_case: bool = True) -> list[int]:
@@ -36,11 +40,11 @@ def encode_text(text: str, fold_case: bool = True) -> list[int]:
     before validation. That can change its length and turn a non-ASCII
     character into letters: ``encode_text("ß") == [19, 19]``,
     ``encode_text("ſ") == [19]``, ``encode_text("ﬁ") == [6, 9]``. Without it
-    each character gives one value. Every character left outside 'A'..'Z'
-    raises :class:`NonAlphabetCharacter` carrying its 0-based index in the
-    text as validated.
+    each character gives one value. A character left outside 'A'..'Z' raises
+    :class:`NonAlphabetCharacter` carrying it as folded and the 0-based index,
+    in ``text`` as passed, of the character it was folded from.
     """
-    return list(_letter_values(text.upper() if fold_case else text, "plaintext"))
+    return list(_letter_values(text, "plaintext", fold_case))
 
 
 def _checked_values(values: Iterable[int], where: str) -> bytes:

@@ -182,7 +182,7 @@ def encrypt(plaintext: str, s: int, fold_case: bool = True) -> tuple[CipherText,
     and turn a non-ASCII character into letters ("straße" is encrypted as
     "STRASSE").
     """
-    values = _letter_values(plaintext.upper() if fold_case else plaintext, "plaintext")
+    values = _letter_values(plaintext, "plaintext", fold_case)
     s, residues, quotients = _check_s(s), bytearray(len(values)), [0] * len(values)
     for slot, factorial in enumerate(itertools.islice(_factorials(s), len(values))):  # one per column
         column, residue_of, quotient_of = values[slot :: s + 1], bytearray(256), [0] * 27

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import io
 import math
 import os
 import stat
@@ -248,20 +249,35 @@ def _cmd_recover_s(infile: str, quotients: list[int], max_s: int) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command; returns the exit code instead of exiting."""
+    """Run one command and flush stdout; returns the exit code instead of exiting."""
     try:
-        handler, values = _parse(build_parser(), sys.argv[1:] if argv is None else argv)
-        return handler(**values)
-    except SystemExit as exc:  # raised by -h (0) and by _fail (1)
-        return int(exc.code)
+        try:
+            handler, values = _parse(build_parser(), sys.argv[1:] if argv is None else argv)
+            code = handler(**values)
+        except SystemExit as exc:  # raised by -h (0) and by _fail (1)
+            code = int(exc.code)
+        except CipherToolkitError as exc:
+            print(f"mellin-cipher: {exc}", file=sys.stderr)
+            code = EXIT_DATA
+        if sys.stdout is not None:  # None in a process started with fd 1 closed (see run)
+            sys.stdout.flush()  # a write error still in the buffer is an i/o error like any other
+        return code
     except OSError as exc:
         print(f"mellin-cipher: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except CipherToolkitError as exc:
-        print(f"mellin-cipher: {exc}", file=sys.stderr)
-        return EXIT_DATA
+
+
+class _ClosedStdout(io.TextIOBase):  # sys.stdout when fd 1 was closed at start-up
+    def write(self, text: str) -> int:  # fails as a write to fd 1 would; writelines calls it
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
 
 
 def run() -> None:
-    """Console-script entry point."""
-    sys.exit(main())
+    """Console-script entry point: runs main() on sys.argv and ends the process with its code."""
+    if sys.stdout is None:  # fd 1 was closed at start-up
+        sys.stdout = _ClosedStdout()
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, OSError):  # no stderr, or a failure main() reported
+            stream.flush()
+    os._exit(code)  # no interpreter teardown: the OS frees the memory, and atexit handlers do not run

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mellin_cipher.alphabet import ALPHABET, decode_values, encode_text
+from mellin_cipher.cipher import encrypt
 from mellin_cipher.errors import NonAlphabetCharacter, ValueOutOfRange
 
 
@@ -86,13 +87,13 @@ def test_round_trip_values(values):
 
 
 def _reference_encode_text(text, fold_case=True):
-    if fold_case:
-        text = text.upper()
+    # upper() folds each character alone; a bad folded character is named at its source's index
     values = []
     for index, char in enumerate(text):
-        if not "A" <= char <= "Z":
-            raise NonAlphabetCharacter(char, index, "plaintext")
-        values.append(ord(char) - ord("A") + 1)
+        for folded in char.upper() if fold_case else char:
+            if not "A" <= folded <= "Z":
+                raise NonAlphabetCharacter(folded, index, "plaintext")
+            values.append(ord(folded) - ord("A") + 1)
     return values
 
 
@@ -145,6 +146,27 @@ _values = st.lists(
 def test_encode_text_matches_reference(text, fold_case):
     expected = _outcome(_reference_encode_text, text, fold_case)
     assert _outcome(encode_text, text, fold_case) == expected
+
+
+def test_fold_names_the_index_in_the_callers_text():
+    for function in (encode_text, lambda text: encrypt(text, 4)):
+        with pytest.raises(NonAlphabetCharacter) as exc_info:
+            function("ßx!")
+        assert (exc_info.value.char, exc_info.value.index) == ("!", 2)
+        assert str(exc_info.value) == "non-alphabet character '!' at index 2 in plaintext"
+
+
+@given(st.tuples(_texts, st.sampled_from("ßﬁﬃŉ"), _texts).map("".join))  # each folds into 2 or 3 characters
+@example("ßx!")
+@example("ŉ")  # upper() gives "ʼN": the stray is the fold's first character
+@example("ﬁ\u0149")
+def test_fold_error_points_into_the_callers_text(text):
+    for function in (encode_text, lambda text: encrypt(text, 4)):
+        try:
+            function(text)
+        except NonAlphabetCharacter as exc:
+            assert exc.char in text[exc.index].upper()
+            assert not text[: exc.index].upper().lstrip(ALPHABET)  # it is the first bad character
 
 
 @given(_values, st.sampled_from([list, tuple, iter]))

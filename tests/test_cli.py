@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -544,16 +545,8 @@ def test_recover_s_at_a_huge_max_s_returns_from_a_cold_process(workdir):
     # JBHDN has letters other than Z, so only s in 1..12 can decrypt it, whatever --max-s says
     (workdir / "ct.txt").write_bytes(b"JBHDN\n")
     argv = ["recover-s", "--in", "ct.txt", "--quotients", "7,23,332,2326,23261", "--max-s", "1000000000"]
-    src = str(Path(cli.__file__).resolve().parents[1])
     try:
-        result = subprocess.run(
-            [sys.executable, "-m", "mellin_cipher", *argv],
-            cwd=workdir,
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
+        result = _cold_cli(workdir, *argv, timeout=30)
     except subprocess.TimeoutExpired:
         pytest.fail("recover-s --max-s 1000000000 ran past 30 s")
     assert (result.returncode, result.stdout, result.stderr) == (EXIT_OK, "4\n", "")
@@ -873,16 +866,71 @@ def test_recover_s_bad_quotient_is_short_usage_error(workdir, capsys):
 _REPORT_NUMPY = "print('numpy' in sys.modules, file=sys.stderr)\n"
 
 
+def _child_env():
+    """The environment with this checkout's package on the path and stdout buffered as in a user's shell."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # a pipe or a file is then block-buffered, and flushed at the end
+    return env
+
+
 def _fresh_python(workdir, code, *argv):
     """Run ``code`` in a fresh interpreter that imports the package from this checkout."""
-    src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        cwd=workdir,
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
+        [sys.executable, "-c", code, *argv], cwd=workdir, env=_child_env(), capture_output=True, text=True
     )
+
+
+def _cold_cli(workdir, *argv, **options):
+    """Run ``python -m mellin_cipher argv`` as _fresh_python runs code; ``options`` go to subprocess.run."""
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **options}
+    return subprocess.run([sys.executable, "-m", "mellin_cipher", *argv], cwd=workdir, env=_child_env(), **options)
+
+
+def test_cold_output_through_a_pipe_is_complete(workdir):
+    # stdout to a pipe is block-buffered: an exit that skipped a flush would cut the output short
+    (workdir / "empty.txt").write_bytes(b"\n")
+    result = _cold_cli(workdir, "recover-s", "--in", "empty.txt", "--quotients", "", "--max-s", "200000")
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    assert result.stdout == "".join(f"{s}\n" for s in range(1, 200001))
+    result = _cold_cli(workdir, "verify-transform")
+    assert (result.returncode, result.stderr) == (EXIT_OK, "verify-transform: 36/36 pass (tol 1e-09)\n")
+    rows = result.stdout.splitlines()
+    assert len(rows) == 37 and all(row.endswith(" PASS") for row in rows[1:])
+
+
+def test_run_ends_the_process_without_teardown(workdir):
+    # atexit handlers run in the interpreter's teardown, which run() skips once its output is flushed
+    code = "import atexit, sys\natexit.register(print, 'teardown', file=sys.stderr)\n"
+    result = _fresh_python(workdir, code + "from mellin_cipher.cli import run\nrun()\n", "recover-s", "-h")
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    assert result.stdout.startswith("usage: mellin-cipher recover-s [-h] --in INFILE")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+@pytest.mark.parametrize("argv", [["verify-transform"], ["-h"], ["decrypt", "--help"]])
+def test_a_failed_final_write_to_stdout_exits_two(workdir, argv):
+    # stdout to a file is block-buffered, so the write fails only when main() flushes it
+    with open("/dev/full", "w") as full:
+        result = _cold_cli(workdir, *argv, stdout=full)
+    assert result.returncode == EXIT_IO
+    assert result.stderr.endswith(f"mellin-cipher: i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert result.stderr.count("\n") == (2 if argv == ["verify-transform"] else 1)  # and its summary line
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
+def test_a_closed_stdout_fails_only_a_command_that_writes_to_it(workdir):
+    # with fd 1 closed at start-up (a shell's >&-) sys.stdout is None; encrypt and decrypt write only files
+    ebadf = f"mellin-cipher: i/o error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+    for argv, code, err in (
+        (["encrypt", "--s", "4", "--in", "hello.txt", "--out", "ct.txt", "--key-out", "key.mk"], EXIT_OK, ""),
+        (["decrypt", "--key", "key.mk", "--in", "ct.txt", "--out", "pt.txt"], EXIT_OK, ""),
+        (["recover-s", "--in", "ct.txt", "--quotients", "7,23,332,2326,23261", "--max-s", "8"], EXIT_IO, ebadf),
+        (["verify-transform", "--n-max", "2", "--s-max", "2"], EXIT_IO, ebadf),
+        (["-h"], EXIT_IO, ebadf),
+    ):
+        result = _cold_cli(workdir, *argv, stdout=None, preexec_fn=functools.partial(os.close, 1))
+        assert (result.returncode, result.stderr) == (code, err), argv
+    assert (workdir / "pt.txt").read_bytes() == b"HELLO\n"
 
 
 def test_no_command_loads_numpy(workdir, capsys):
