@@ -10,8 +10,6 @@ character into letters in 'A'..'Z': "ß" becomes "SS", "ſ" becomes "S" and
 and translate in C; the cipher checks its letter values here too.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Sequence
 from itertools import accumulate
 

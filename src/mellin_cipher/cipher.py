@@ -13,13 +13,12 @@ ciphertext, determines the secret parameter s by direct search
 implemented here as a faithful, testable artifact, not as a secure cipher.
 """
 
-from __future__ import annotations
-
+import functools
 import itertools
 import math
 import operator
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import getitem, mul
 
 from .alphabet import _TO_LETTERS, _checked_values, _letter_values
@@ -77,6 +76,19 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``: only a miss costs a Python frame."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 class CipherText(_Record):
@@ -193,26 +205,21 @@ def encrypt(plaintext: str, s: int, fold_case: bool = True) -> tuple[CipherText,
     return CipherText._from_checked(tuple(residues)), CipherKey._from_checked(s, tuple(quotients))
 
 
-class _LetterRows(dict):
-    """A slot's rows by quotient: at index r, the letter value of ``quotient * 26 + r``, or 0."""
+_NO_ROW = bytes(MODULUS + 1)  # the one row of every quotient under which no residue decrypts
 
-    __slots__ = ("weight",)  # the slot's factorial
-    _NONE = bytes(MODULUS + 1)  # the one row of every quotient under which no residue decrypts
 
-    def __init__(self, weight: int):
-        self.weight = weight
-
-    def __missing__(self, quotient: int) -> bytes:  # one exact division per distinct quotient
-        value, excess = divmod((quotient + 1) * MODULUS, self.weight)
-        # r = 26 - excess makes quotient * 26 + r value times weight, each r weight lower once less;
-        # value > 26 means quotient >= weight, so then every r makes it more than 26 times
-        if not 0 < value <= MODULUS or excess >= MODULUS:
-            return self.setdefault(quotient, self._NONE)
-        row = self[quotient] = bytearray(self._NONE)
-        for residue in range(MODULUS - excess, 0, -self.weight):
-            row[residue] = value
-            value -= 1
-        return row
+def _letter_row(weight: int, quotient: int) -> bytes:
+    """At index r, the letter value of ``quotient * 26 + r`` for a slot's factorial ``weight``, or 0."""
+    value, excess = divmod((quotient + 1) * MODULUS, weight)
+    # r = 26 - excess makes quotient * 26 + r value times weight, each r weight lower once less;
+    # value > 26 means quotient >= weight, so then every r makes it more than 26 times
+    if not 0 < value <= MODULUS or excess >= MODULUS:
+        return _NO_ROW
+    row = bytearray(_NO_ROW)
+    for residue in range(MODULUS - excess, 0, -weight):
+        row[residue] = value
+        value -= 1
+    return row
 
 
 def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
@@ -242,7 +249,7 @@ def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
 def _decode(s: int, quotients: tuple, residues: bytes) -> tuple:  # one schedule column at a time; reports a fault
     values, first, divisor = bytearray(len(quotients)), len(quotients), 0  # the first fault (n: none), its factorial
     for slot, factorial in enumerate(itertools.islice(_factorials(s), len(quotients))):  # one per column
-        rows = _LetterRows(factorial)
+        rows = _Memo(functools.partial(_letter_row, factorial))  # one exact division per distinct quotient
         column = bytes(map(getitem, map(rows.__getitem__, quotients[slot :: s + 1]), residues[slot :: s + 1]))
         values[slot :: s + 1] = column
         if 0 in column and (position := slot + column.index(0) * (s + 1)) < first:  # the earliest fault yet

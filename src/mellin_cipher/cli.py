@@ -6,8 +6,6 @@ files; diagnostics go to stderr. Behavior depends only on arguments and the
 named files.
 """
 
-from __future__ import annotations
-
 import contextlib
 import errno
 import io
@@ -272,12 +270,19 @@ class _ClosedStdout(io.TextIOBase):  # sys.stdout when fd 1 was closed at start-
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
 
 
+class _ClosedStderr(io.TextIOBase):  # sys.stderr when fd 2 was closed at start-up
+    def write(self, text: str) -> int:  # drops a diagnostic; print(file=None) would send it to stdout
+        return len(text)
+
+
 def run() -> None:
     """Console-script entry point: runs main() on sys.argv and ends the process with its code."""
     if sys.stdout is None:  # fd 1 was closed at start-up
         sys.stdout = _ClosedStdout()
+    if sys.stderr is None:  # fd 2 was closed at start-up
+        sys.stderr = _ClosedStderr()
     code = main()
     for stream in (sys.stdout, sys.stderr):
-        with contextlib.suppress(AttributeError, OSError):  # no stderr, or a failure main() reported
+        with contextlib.suppress(OSError):  # a failure main() reported
             stream.flush()
     os._exit(code)  # no interpreter teardown: the OS frees the memory, and atexit handlers do not run

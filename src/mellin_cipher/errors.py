@@ -4,8 +4,6 @@ Every error raised by this package derives from :class:`CipherToolkitError`,
 so callers (and the CLI) can distinguish toolkit failures from bugs.
 """
 
-from __future__ import annotations
-
 import copyreg
 import math
 from functools import cached_property
@@ -75,7 +73,7 @@ class NotDivisible(CipherToolkitError):
         )
 
     @classmethod
-    def _below_factorial(cls, position: int, value: int, s: int) -> NotDivisible:  # value < s!: the text names s
+    def _below_factorial(cls, position: int, value: int, s: int) -> "NotDivisible":  # value < s!: the text names s
         text = f"coefficient {_render_int(value)} at position {position} is not divisible by {s}!, which exceeds it"
         error = cls.__new__(cls, text)  # BaseException.__new__ sets args; __init__ would need s!
         error.position, error.value, error._s = position, value, s

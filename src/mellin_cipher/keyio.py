@@ -22,13 +22,10 @@ Writers are deterministic, readers are exact inverses, and parsing depends
 only on the bytes, never on locale or platform.
 """
 
-from __future__ import annotations
-
 import functools
 import sys
-from collections.abc import Callable
 
-from .cipher import CipherKey, CipherText
+from .cipher import CipherKey, CipherText, _Memo
 from .errors import (
     BadField,
     BadMagic,
@@ -41,19 +38,6 @@ from .errors import (
 
 KEY_MAGIC = "MELLIN-KEY-V1"
 _KEY_MAGIC = KEY_MAGIC.encode()
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with ``compute(key)``: only a miss costs a Python frame."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute: Callable):
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
 
 
 def _too_wide() -> str:

@@ -22,8 +22,6 @@ log-factorial) and raises the bound to 300. Every check goes through
 rescaled rule.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import sys

@@ -286,6 +286,29 @@ def test_helloworld_under_s_1_shows_every_other_letter():
     assert encrypt("HELLOWORLD", 1)[0].letters == "HJLXOTOJLH"  # H, L, O, O and L in clear
 
 
+@st.composite
+def _weights_and_quotients(draw):
+    # e! for e in 1..40, and a quotient near some g * e! / 26 or anywhere in 0..27 * e! / 26 (past g = 26)
+    e = draw(st.integers(1, 40))
+    weight = math.factorial(e)
+    near = st.builds(lambda g, delta: max(0, g * weight // 26 + delta), st.integers(1, 26), st.integers(-3, 3))
+    return e, weight, draw(st.one_of(near, st.integers(0, 27 * weight // 26 + 3)))
+
+
+@given(_weights_and_quotients())
+@settings(max_examples=400)
+def test_letter_row_inverts_the_forward_split(case):
+    e, weight, quotient = case
+    expected = bytearray(27)  # at index r, the g with split_mod26(g * e!) == (quotient, r), else 0
+    for g in range(1, 27):
+        if split_mod26(g * weight)[0] == quotient:
+            expected[split_mod26(g * weight)[1]] = g
+    row = cipher._letter_row(weight, quotient)
+    assert bytes(row) == bytes(expected)
+    if e >= 5:  # e! > 26: consecutive multiples of e! never share a quotient
+        assert 27 - row.count(0) <= 1
+
+
 def test_encrypt_and_decrypt_compute_one_factorial(monkeypatch):
     calls = []
     factorial = math.factorial

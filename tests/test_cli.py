@@ -933,6 +933,19 @@ def test_a_closed_stdout_fails_only_a_command_that_writes_to_it(workdir):
     assert (workdir / "pt.txt").read_bytes() == b"HELLO\n"
 
 
+def test_a_closed_stderr_drops_diagnostics_and_keeps_stdout_for_results(workdir):
+    # with fd 2 closed at start-up (a shell's 2>&-) sys.stderr is None, and print(file=None) writes to stdout
+    assert run_encrypt(workdir) == EXIT_OK
+    for argv, code, out in (
+        (["decrypt", "--key", "missing.mk", "--in", "hello.txt", "--out", "pt.txt"], EXIT_IO, ""),
+        (["decrypt", "--key", "missing.mk"], EXIT_USAGE, ""),
+        (["recover-s", "--in", "ct.txt", "--quotients", "7,23,332,2326,23261", "--max-s", "8"], EXIT_OK, "4\n"),
+    ):
+        result = _cold_cli(workdir, *argv, stderr=None, preexec_fn=functools.partial(os.close, 2))
+        assert (result.returncode, result.stdout) == (code, out), argv
+    assert not (workdir / "pt.txt").exists()
+
+
 def test_no_command_loads_numpy(workdir, capsys):
     bare = _fresh_python(workdir, "import sys, mellin_cipher\n" + _REPORT_NUMPY)
     assert (bare.returncode, bare.stderr) == (0, "False\n")
@@ -966,7 +979,8 @@ def test_cold_commands_skip_heavy_imports(workdir):
         "    main(['decrypt', '--key', 'key.mk', '--in', 'ct.txt', '--out', 'pt.txt']),\n"
         "    main(['recover-s', '--in', 'ct.txt', '--quotients', '7,23,332,2326,23261', '--max-s', '8']),\n"
         "]\n"
-        "heavy = ('dataclasses', 'inspect', 'typing', 'numpy', 'argparse', 'gettext', 'locale', 're', 'shutil')\n"
+        "heavy = ('__future__', 'dataclasses', 'inspect', 'typing', 'numpy', 'argparse', 'gettext', 'locale', 're',\n"
+        "         'shutil')\n"
         "print(codes, [name for name in heavy if name in sys.modules], file=sys.stderr)\n"
     )
     result = subprocess.run(
