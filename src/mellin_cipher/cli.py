@@ -8,7 +8,6 @@ named files.
 
 import contextlib
 import errno
-import io
 import math
 import os
 import stat
@@ -72,8 +71,19 @@ def build_parser() -> dict[str, tuple]:
     }
 
 
+def _say(line: str) -> None:  # a diagnostic: dropped if there is no stderr (fd 2 closed at start-up)
+    if sys.stderr is not None:  # print(file=None) would write it to stdout
+        print(line, file=sys.stderr)
+
+
+def _stdout():  # the stream for results; with none (fd 1 closed at start-up), the error a write to fd 1 gives
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def _fail(message: str, usage: str = "", prog: str = "mellin-cipher"):
-    print(f"{usage}{prog}: error: {message}", file=sys.stderr)
+    _say(f"{usage}{prog}: error: {message}")
     raise SystemExit(EXIT_USAGE)
 
 
@@ -107,7 +117,7 @@ def _read(prog: str, summary: str, options: dict, words: Sequence[str], rows=())
         if eq and kind in (None, bool):
             _fail(f"argument {found[0]}: ignored explicit argument {text!r}", usage, prog)
         if dest is None:
-            print(usage, summary, "", *(f"  {left:<28} {right}" for left, right in rows), sep="\n")
+            print(usage, summary, "", *(f"  {left:<28} {right}" for left, right in rows), sep="\n", file=_stdout())
             raise SystemExit(EXIT_OK)
         if kind is bool:
             values[dest] = not found[0].startswith("--no-")
@@ -210,14 +220,13 @@ def _cmd_decrypt(keyfile: str, infile: str, outfile: str) -> int:
 
 
 def _cmd_verify_transform(n_max: int, s_max: int, tol: float) -> int:
-    from .oracle import numeric_mellin  # the only command that needs the oracle
-
     if n_max < 1 or s_max < 1:
         _fail("--n-max and --s-max must be >= 1")
     if not tol > 0:  # NaN too
         _fail("--tol must be > 0")
-    failures = 0
-    print(f"{'n':>3} {'s':>3} {'exponent':>8} {'numeric':>24} {'exact':>20} {'rel_err':>10} status")
+    from .oracle import numeric_mellin  # the only command that needs the oracle
+    failures, out = 0, _stdout()
+    print(f"{'n':>3} {'s':>3} {'exponent':>8} {'numeric':>24} {'exact':>20} {'rel_err':>10} status", file=out)
     for n in range(1, n_max + 1):
         for s in range(1, s_max + 1):
             result = numeric_mellin(n, s)
@@ -225,10 +234,10 @@ def _cmd_verify_transform(n_max: int, s_max: int, tol: float) -> int:
             failures += not ok
             print(
                 f"{n:>3} {s:>3} {s + n - 1:>8} {result.numeric:>24.12e} "
-                f"{result.exact:>20} {result.relative_error:>10.2e} {'PASS' if ok else 'FAIL'}"
+                f"{result.exact:>20} {result.relative_error:>10.2e} {'PASS' if ok else 'FAIL'}", file=out
             )
     total = n_max * s_max
-    print(f"verify-transform: {total - failures}/{total} pass (tol {tol:g})", file=sys.stderr)
+    _say(f"verify-transform: {total - failures}/{total} pass (tol {tol:g})")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
@@ -240,14 +249,18 @@ def _cmd_recover_s(infile: str, quotients: list[int], max_s: int) -> int:
     if not quotients and not len(ciphertext):  # every s decrypts it: list them without a set
         for start in range(1, max_s + 1, _CHUNK):
             stop = min(start + _CHUNK, max_s + 1)
-            sys.stdout.write("".join(map("{}\n".format, range(start, stop))))
+            _stdout().write("".join(map("{}\n".format, range(start, stop))))
         return EXIT_OK
-    sys.stdout.writelines(f"{s}\n" for s in sorted(recover_s(ciphertext, quotients, max_s)))
+    found = sorted(recover_s(ciphertext, quotients, max_s))  # first: a mismatch exits 3 with no stdout too
+    _stdout().writelines(f"{s}\n" for s in found)
     return EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command and flush stdout; returns the exit code instead of exiting."""
+    """Run one command and flush stdout; returns the exit code instead of exiting.
+
+    A missing stdout or stderr (None, as under pythonw) is treated as a cold process treats a closed fd 1 or 2.
+    """
     try:
         try:
             handler, values = _parse(build_parser(), sys.argv[1:] if argv is None else argv)
@@ -255,34 +268,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:  # raised by -h (0) and by _fail (1)
             code = int(exc.code)
         except CipherToolkitError as exc:
-            print(f"mellin-cipher: {exc}", file=sys.stderr)
+            _say(f"mellin-cipher: {exc}")
             code = EXIT_DATA
-        if sys.stdout is not None:  # None in a process started with fd 1 closed (see run)
+        if sys.stdout is not None:  # None with fd 1 closed at start-up
             sys.stdout.flush()  # a write error still in the buffer is an i/o error like any other
         return code
     except OSError as exc:
-        print(f"mellin-cipher: i/o error: {exc}", file=sys.stderr)
+        _say(f"mellin-cipher: i/o error: {exc}")
         return EXIT_IO
-
-
-class _ClosedStdout(io.TextIOBase):  # sys.stdout when fd 1 was closed at start-up
-    def write(self, text: str) -> int:  # fails as a write to fd 1 would; writelines calls it
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-
-
-class _ClosedStderr(io.TextIOBase):  # sys.stderr when fd 2 was closed at start-up
-    def write(self, text: str) -> int:  # drops a diagnostic; print(file=None) would send it to stdout
-        return len(text)
 
 
 def run() -> None:
     """Console-script entry point: runs main() on sys.argv and ends the process with its code."""
-    if sys.stdout is None:  # fd 1 was closed at start-up
-        sys.stdout = _ClosedStdout()
-    if sys.stderr is None:  # fd 2 was closed at start-up
-        sys.stderr = _ClosedStderr()
-    code = main()
-    for stream in (sys.stdout, sys.stderr):
-        with contextlib.suppress(OSError):  # a failure main() reported
-            stream.flush()
-    os._exit(code)  # no interpreter teardown: the OS frees the memory, and atexit handlers do not run
+    os._exit(main())  # no interpreter teardown: the OS frees the memory, and atexit handlers do not run

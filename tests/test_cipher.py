@@ -276,6 +276,41 @@ def test_a_slots_residues_fix_the_letter_modulo_13_below_e_13():
         assert letters == residues, e
 
 
+@given(st.text(alphabet=ALPHABET, min_size=1, max_size=40), st.integers(5, 40), st.data())
+@settings(max_examples=300)
+def test_every_ciphertext_letter_edit_is_caught_from_s_5(plaintext, s, data):
+    # a letter edit moves its coefficient by 1..25, never a multiple of e! >= 5! = 120
+    ciphertext, key = encrypt(plaintext, s)
+    index = data.draw(st.integers(0, len(plaintext) - 1))
+    residues = list(ciphertext.residues)
+    residues[index] = data.draw(st.integers(1, 26).filter(lambda r: r != residues[index]))
+    with pytest.raises((NotDivisible, ValueOutOfRange)) as exc_info:
+        decrypt(CipherText(residues), key)
+    if isinstance(exc_info.value, NotDivisible):
+        assert exc_info.value.position == index + 1
+    else:
+        assert f" at position {index + 1} " in str(exc_info.value)
+
+
+@given(st.text(alphabet=ALPHABET, min_size=1, max_size=40), st.integers(1, 40), st.data())
+@settings(max_examples=300)
+def test_a_quotient_edit_by_a_known_amount_shifts_its_letter(plaintext, s, data):
+    # adding e!/gcd(e!, 26) to a quotient adds (26/gcd(e!, 26)) * e! to its coefficient: the key is
+    # malleable at every s, by +13 letters for 2 <= e <= 12 and +1 for e >= 13 (e = 1 gives +26)
+    ciphertext, key = encrypt(plaintext, s)
+    index = data.draw(st.integers(0, len(plaintext) - 1))
+    e = exponent_schedule(s, index + 1)[index]
+    quotients = list(key.quotients)
+    quotients[index] += math.factorial(e) // math.gcd(math.factorial(e), 26)
+    letter = ALPHABET.index(plaintext[index]) + 1 + (26 if e == 1 else 13 if e <= 12 else 1)
+    if letter > 26:
+        with pytest.raises(ValueOutOfRange, match=f" at position {index + 1} "):
+            decrypt(ciphertext, CipherKey(s, quotients))
+    else:
+        tampered = plaintext[:index] + ALPHABET[letter - 1] + plaintext[index + 1 :]
+        assert decrypt(ciphertext, CipherKey(s, quotients)) == tampered
+
+
 @given(plaintexts)
 def test_slot_zero_letters_are_in_clear_under_s_1(plaintext):
     ciphertext, _ = encrypt(plaintext, 1)

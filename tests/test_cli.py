@@ -946,6 +946,36 @@ def test_a_closed_stderr_drops_diagnostics_and_keeps_stdout_for_results(workdir)
     assert not (workdir / "pt.txt").exists()
 
 
+_STREAM_FDS = {"stdout": 1, "stderr": 2}
+
+
+@pytest.mark.parametrize("missing", [("stdout",), ("stderr",), ("stdout", "stderr")])
+def test_main_treats_a_missing_stream_as_a_cold_process_treats_a_closed_fd(workdir, monkeypatch, missing):
+    # an embedding host or pythonw calls main() with sys.stdout or sys.stderr None, as a cold
+    # process started with fd 1 or fd 2 closed has them; each pair of runs must agree
+    monkeypatch.chdir(workdir)
+    kept = [name for name in _STREAM_FDS if name not in missing]
+    for argv, code, prints in (  # the exit code with both streams open; whether the command prints results
+        (["encrypt", "--s", "4", "--in", "hello.txt", "--out", "ct.txt", "--key-out", "key.mk"], EXIT_OK, False),
+        (["decrypt", "--key", "missing.mk", "--in", "ct.txt", "--out", "pt.txt"], EXIT_IO, False),
+        (["verify-transform", "--n-max", "2", "--s-max", "2"], EXIT_OK, True),
+        (["recover-s", "--in", "ct.txt", "--quotients", "7,23,332,2326,23261", "--max-s", "8"], EXIT_OK, True),
+        (["recover-s", "--in", "ct.txt", "--quotients", "1,2", "--max-s", "8"], EXIT_DATA, False),
+        (["-h"], EXIT_OK, True),
+        (["decrypt", "--key", "missing.mk"], EXIT_USAGE, False),
+    ):
+        expected = EXIT_IO if prints and "stdout" in missing else code
+        fds = [_STREAM_FDS[name] for name in missing]
+        close = functools.partial(os.closerange, min(fds), max(fds) + 1)
+        cold = _cold_cli(workdir, *argv, preexec_fn=close, **dict.fromkeys(missing))
+        out = io.StringIO()
+        with mock.patch.multiple(sys, **dict.fromkeys(missing), **dict.fromkeys(kept, out)):
+            warm = main(argv)  # an exception out of main() fails the test
+        assert (warm, cold.returncode) == (expected, expected), (argv, missing)
+        assert out.getvalue() == (getattr(cold, kept[0]) if kept else ""), (argv, missing)
+    assert not (workdir / "pt.txt").exists()
+
+
 def test_no_command_loads_numpy(workdir, capsys):
     bare = _fresh_python(workdir, "import sys, mellin_cipher\n" + _REPORT_NUMPY)
     assert (bare.returncode, bare.stderr) == (0, "False\n")
@@ -965,6 +995,14 @@ def test_no_command_loads_numpy(workdir, capsys):
     warm = capsys.readouterr()
     assert cold.returncode == EXIT_OK
     assert (cold.stdout, cold.stderr) == (warm.out, warm.err + "False\n")
+
+
+def test_a_verify_transform_usage_error_loads_no_oracle(workdir):
+    code = "import sys\nfrom mellin_cipher.cli import main\ncode = main(sys.argv[1:])\n"
+    code += "print(code, 'mellin_cipher.oracle' in sys.modules, file=sys.stderr)\n"
+    for argv in (["--n-max", "0"], ["--s-max", "0"], ["--tol", "0"]):
+        result = _fresh_python(workdir, code, "verify-transform", *argv)
+        assert result.stderr.endswith(f"\n{EXIT_USAGE} False\n"), argv
 
 
 def test_cold_commands_skip_heavy_imports(workdir):
