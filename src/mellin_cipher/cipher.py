@@ -269,23 +269,26 @@ def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> s
     only an all-Z ciphertext is scanned past s = 12, up to max_s. An empty
     message returns every s in 1..max_s, so its memory is linear in max_s
     (70.5 MB at max_s = 10**6): the caller asked for that many values. The
-    CLI streams that case instead.
+    CLI streams the same values in ascending order.
     """
+    return set(_candidates(ciphertext, quotients, max_s))
+
+
+def _candidates(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> Iterable[int]:
+    """recover_s's values in ascending order, lazily: every input is checked before this returns."""
     quotients = tuple(quotients)
     if len(ciphertext) != len(quotients):
-        raise LengthMismatch(
-            f"ciphertext has {len(ciphertext)} letters but {len(quotients)} quotients given"
-        )
+        raise LengthMismatch(f"ciphertext has {len(ciphertext)} letters but {len(quotients)} quotients given")
     if max_s < 1:
         raise InvalidParameter(f"max_s must be >= 1, got {_render_int(max_s)}")
     if not quotients:  # no letter can fail, so every s decrypts cleanly
-        return set(range(1, max_s + 1))
+        return range(1, max_s + 1)
     try:
         quotients = CipherKey(1, quotients).quotients  # the check a key of each s would run, run once
     except ValueOutOfRange:  # a negative quotient: no key holds it, so no s decrypts
-        return set()
+        return ()
     residues, n = bytes(ciphertext.residues), len(quotients)
     candidates = range(1, max_s + 1)  # a float max_s is a TypeError here
     if residues.count(MODULUS) != n:  # 26 divides e! for e >= 13: an s >= 13 makes every letter Z
         candidates = candidates[:12]
-    return {s for s in candidates if _decode(s, quotients, residues)[1] == n}  # fault index n: none
+    return (s for s in candidates if _decode(s, quotients, residues)[1] == n)  # fault index n: none

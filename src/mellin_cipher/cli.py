@@ -8,6 +8,7 @@ named files.
 
 import contextlib
 import errno
+import itertools
 import math
 import os
 import stat
@@ -16,7 +17,7 @@ from collections.abc import Sequence
 
 from . import keyio
 from .alphabet import encode_text
-from .cipher import encrypt, decrypt, recover_s
+from .cipher import _candidates, encrypt, decrypt
 from .errors import CipherToolkitError, _quote
 
 EXIT_OK = 0
@@ -26,7 +27,7 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 
 DEFAULT_MAX_S_PARAM = 64
-_CHUNK = 1 << 16  # candidates per write when recover-s lists every s
+_CHUNK = 1 << 16  # recover-s lines per write: one write per line is 3-5x slower into a write-through stdout
 
 
 def _nonneg_int_list(text: str) -> list[int]:
@@ -71,9 +72,10 @@ def build_parser() -> dict[str, tuple]:
     }
 
 
-def _say(line: str) -> None:  # a diagnostic: dropped if there is no stderr (fd 2 closed at start-up)
+def _say(line: str) -> None:  # a diagnostic: dropped if there is no stderr (fd 2 closed at start-up) or it fails
     if sys.stderr is not None:  # print(file=None) would write it to stdout
-        print(line, file=sys.stderr)
+        with contextlib.suppress(OSError):  # a full device, say: the exit code still tells what happened
+            print(line, file=sys.stderr)
 
 
 def _stdout():  # the stream for results; with none (fd 1 closed at start-up), the error a write to fd 1 gives
@@ -246,13 +248,9 @@ def _cmd_recover_s(infile: str, quotients: list[int], max_s: int) -> int:
         _fail("--max-s must be >= 1")
     with open(infile, "rb") as handle:
         ciphertext = keyio.read_ciphertext(handle.read())
-    if not quotients and not len(ciphertext):  # every s decrypts it: list them without a set
-        for start in range(1, max_s + 1, _CHUNK):
-            stop = min(start + _CHUNK, max_s + 1)
-            _stdout().write("".join(map("{}\n".format, range(start, stop))))
-        return EXIT_OK
-    found = sorted(recover_s(ciphertext, quotients, max_s))  # first: a mismatch exits 3 with no stdout too
-    _stdout().writelines(f"{s}\n" for s in found)
+    found, out = iter(_candidates(ciphertext, quotients, max_s)), _stdout()  # a bad input exits 3 with no stdout
+    while chunk := "".join(map("{}\n".format, itertools.islice(found, _CHUNK))):
+        out.write(chunk)
     return EXIT_OK
 
 

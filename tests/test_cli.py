@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mellin_cipher import cli
 from mellin_cipher.alphabet import ALPHABET
-from mellin_cipher.cipher import _EXACT_S, encrypt
+from mellin_cipher.cipher import _EXACT_S, CipherText, encrypt, recover_s
 from mellin_cipher.keyio import write_ciphertext, write_key
 from mellin_cipher.cli import (
     EXIT_DATA,
@@ -882,8 +882,8 @@ def _fresh_python(workdir, code, *argv):
 
 def _cold_cli(workdir, *argv, **options):
     """Run ``python -m mellin_cipher argv`` as _fresh_python runs code; ``options`` go to subprocess.run."""
-    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **options}
-    return subprocess.run([sys.executable, "-m", "mellin_cipher", *argv], cwd=workdir, env=_child_env(), **options)
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, "env": _child_env(), **options}
+    return subprocess.run([sys.executable, "-m", "mellin_cipher", *argv], cwd=workdir, **options)
 
 
 def test_cold_output_through_a_pipe_is_complete(workdir):
@@ -943,6 +943,27 @@ def test_a_closed_stderr_drops_diagnostics_and_keeps_stdout_for_results(workdir)
     ):
         result = _cold_cli(workdir, *argv, stderr=None, preexec_fn=functools.partial(os.close, 2))
         assert (result.returncode, result.stdout) == (code, out), argv
+    assert not (workdir / "pt.txt").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_failed_diagnostic_write_keeps_the_exit_code(workdir, unbuffered):
+    # each diagnostic fails to write and is dropped, as with fd 2 closed; results still go to stdout
+    assert run_encrypt(workdir) == EXIT_OK
+    (workdir / "bad.mk").write_bytes(EXAMPLE_KEY_BYTES.replace(b"MELLIN", b"MERLIN"))
+    env = {**_child_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+    for argv, code, lines in (  # the exit code and the number of stdout lines
+        (["decrypt", "--key", "missing.mk", "--in", "ct.txt", "--out", "pt.txt"], EXIT_IO, 0),
+        (["verify-transform", "--n-max", "2", "--s-max", "2"], EXIT_OK, 5),
+        (["decrypt", "--key", "missing.mk"], EXIT_USAGE, 0),
+        (["decrypt", "--key", "bad.mk", "--in", "ct.txt", "--out", "pt.txt"], EXIT_DATA, 0),
+        (["recover-s", "--in", "ct.txt", "--quotients", "7,23,332,2326,23261", "--max-s", "8"], EXIT_OK, 1),
+    ):
+        with open("/dev/full", "w") as full:
+            result = _cold_cli(workdir, *argv, stderr=full, env=env)
+        assert (result.returncode, result.stdout.count("\n")) == (code, lines), argv
+    assert result.stdout == "4\n"
     assert not (workdir / "pt.txt").exists()
 
 
@@ -1075,6 +1096,40 @@ def test_recover_s_empty_streams_under_a_memory_limit(workdir):
     for start in range(1, 3_000_001, 100_000):
         expected.update("".join(f"{s}\n" for s in range(start, start + 100_000)).encode())
     assert hashlib.sha256((workdir / "out.txt").read_bytes()).digest() == expected.digest()
+
+
+@given(
+    letters=st.text(alphabet=ALPHABET, max_size=40),
+    true_s=st.integers(1, 70),
+    edit=st.sampled_from([None, "letter", "quotient", "extra quotient"]),
+    max_s=st.integers(1, 150),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_recover_s_prints_exactly_the_library_answer(letters, true_s, edit, max_s, data):
+    ciphertext, key = encrypt(letters, true_s)
+    residues, quotients = list(ciphertext.residues), list(key.quotients)
+    if edit in ("letter", "quotient") and letters:
+        at = data.draw(st.integers(0, len(letters) - 1))
+        if edit == "letter":
+            residues[at] = data.draw(st.integers(1, 26))
+        else:
+            quotients[at] += 1
+    elif edit == "extra quotient":
+        quotients.append(data.draw(st.integers(0, 10**6)))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ct.txt")
+        Path(path).write_bytes(write_ciphertext(CipherText(residues)))
+        argv = ["recover-s", "--in", path, "--quotients", ",".join(map(str, quotients)), "--max-s", str(max_s)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    if len(quotients) != len(residues):
+        assert (code, out.getvalue()) == (EXIT_DATA, "")
+    else:
+        assert (code, err.getvalue()) == (EXIT_OK, "")
+        expected = sorted(recover_s(CipherText(residues), quotients, max_s))
+        assert out.getvalue() == "".join(f"{s}\n" for s in expected)
 
 
 def test_recover_s_length_mismatch(workdir):

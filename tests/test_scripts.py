@@ -47,3 +47,17 @@ def test_key_recovery_demo_ciphertext_only():
         assert rows[s] == [0.0, 100.0, 0.0]
     for s in (13, 14):  # all Z: the ciphertext shows only that s >= 13
         assert rows[s] == [0.0, 0.0, 0.0]
+
+
+def test_key_recovery_demo_tamper():
+    result = run_script("key_recovery_demo.py", "--tamper", "--trials", "20", "--max-s", "14")
+    assert result.returncode == 0, result.stderr
+    rows = {}
+    for line in result.stdout.splitlines()[2:]:
+        s, *fields = line.split()
+        rows[int(s)] = [float(field.rstrip("%")) for field in fields if field.endswith("%")]
+    assert sorted(rows) == list(range(1, 15))
+    assert rows[1][0] > 0  # under s = 1 a letter edit often lands on another multiple of e! <= 2
+    for s, (ciphertext_edits, _, known_shifts) in rows.items():
+        assert known_shifts == 100.0, s  # a quotient edit by e!/gcd(e!, 26) decrypts to the letter predicted
+        assert ciphertext_edits == 0.0 or s < 5, s  # a letter edit moves c by <= 25, never a multiple of e! >= 120
