@@ -24,15 +24,11 @@ from .keyio import read_ciphertext, read_key, write_ciphertext, write_key
 
 __version__ = "0.1.0"
 
-# The oracle is imported on first use of one of its names, so the cipher, the key
-# format and every CLI command but verify-transform run without paying its import.
-_ORACLE_NAMES = frozenset(
-    {"OracleResult", "gamma_identity_check", "numeric_mellin", "scaling_check", "shift_check"}
-)
-
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
+    # a public name not imported above is the oracle's: it is imported on first use of one, so the
+    # cipher, the key format and every CLI command but verify-transform run without paying its import
+    if name in __all__:
         from . import oracle
 
         return getattr(oracle, name)

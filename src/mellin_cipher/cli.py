@@ -248,9 +248,9 @@ def _cmd_recover_s(infile: str, quotients: list[int], max_s: int) -> int:
         _fail("--max-s must be >= 1")
     with open(infile, "rb") as handle:
         ciphertext = keyio.read_ciphertext(handle.read())
-    found, out = iter(_candidates(ciphertext, quotients, max_s)), _stdout()  # a bad input exits 3 with no stdout
+    found = iter(_candidates(ciphertext, quotients, max_s))  # a bad input exits 3 with no stdout
     while chunk := "".join(map("{}\n".format, itertools.islice(found, _CHUNK))):
-        out.write(chunk)
+        _stdout().write(chunk)  # asked for only with a line to write: no candidate needs no stdout
     return EXIT_OK
 
 

@@ -17,10 +17,12 @@ class CipherToolkitError(Exception):
 
 
 def _render_int(value) -> str:
-    # int -> str is quadratic and refused past 4300 digits, so a message states the bit length
-    # of an integer wider than 64 bits instead; anything else, a float say, shows as str
-    bits = int(value).bit_length() if hasattr(value, "__index__") else 0  # numpy ints: no bit_length
-    return str(value) if bits <= 64 else f"<{bits}-bit integer>"
+    # int -> str is quadratic and refused past 4300 digits, so a message states the bit length of an
+    # int or Fraction wider than 64 bits instead; anything else, a float say, shows as str
+    if not hasattr(value, "denominator"):  # ints, bools and numpy ints have numerator and denominator
+        return str(value)
+    bits = max(int(value.numerator).bit_length(), int(value.denominator).bit_length())  # numpy ints: no bit_length
+    return str(value) if bits <= 64 else f"<{bits}-bit {'integer' if value.denominator == 1 else 'fraction'}>"
 
 
 _SHOWN_CHARS = 20  # an echoed input field is quoted up to this many characters

@@ -25,7 +25,6 @@ rescaled rule.
 import math
 import operator
 import sys
-from functools import lru_cache
 from itertools import repeat
 from operator import mul
 
@@ -160,35 +159,8 @@ def gamma_identity_check(n: int, s: int, tol: float) -> bool:
     return numeric_mellin(n, s).relative_error <= tol
 
 
-@lru_cache(maxsize=None)
-def _log_scale_range(n: int, s: int) -> tuple[float, float]:
-    """The open interval of log(a) in which every value scaling_check forms
-    stays a normal double: within a factor e of the largest double, and a
-    factor 1/epsilon above the smallest normal one, so that any term lost to
-    underflow is below rounding in the sum.
-
-    Each such value is exp(c - k*log(a)) for a c and k of the rule and the
-    degree: the smallest and largest node x/a, the smallest weight w/a (the
-    last one), the largest integrand value (a*x)^n * x^(s-1), a^(-s) and the
-    reference a^(-s) * (s+n-1)!. At s=1 the integrand does not depend on a
-    (k=0); its largest value, below 75^40, fits.
-    """
-    degree = s + n - 1
-    _, _, log_nodes, log_weights = _laguerre_rule(_auto_node_count(degree))
-    values = [
-        (log_nodes[0], 1),
-        (log_nodes[-1], 1),
-        (log_weights[-1], 1),
-        (degree * log_nodes[-1], s - 1),
-        (0.0, s),
-        (math.lgamma(degree + 1), s),
-    ]
-    low = math.log(sys.float_info.min / sys.float_info.epsilon)
-    high = math.log(sys.float_info.max) - 1
-    return (
-        max((c - high) / k for c, k in values if k),
-        min((c - low) / k for c, k in values if k),
-    )
+# the open range scaling_check keeps its extremes in: a term lost to underflow is then below rounding
+_SAFE_LOW, _SAFE_HIGH = sys.float_info.min / sys.float_info.epsilon, sys.float_info.max / math.e
 
 
 def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
@@ -198,21 +170,28 @@ def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
     The integrand is exp(-a*x) times a polynomial of degree s+n-1, so it is
     integrated with the Gauss-Laguerre rule rescaled to the weight exp(-a*x)
     (nodes x_k/a, weights w_k/a) and compared against a^(-s) * (s+n-1)!.
-    A scale under which a node, a weight, the integrand or the reference
-    would leave the range of normal doubles raises :class:`InvalidScale`.
+    A scale of any real type raises :class:`InvalidScale` if a node, the
+    smallest weight, the largest integrand value, a^(-s) or the reference,
+    as doubles, comes within a factor e of the largest double or a factor
+    1/epsilon of the smallest normal one.
     """
     if not 0 < a < math.inf:  # NaN and inf too
         raise InvalidScale(f"scale factor must be finite and > 0, got {_render_int(a)}")
     _check_tol(tol)
     degree = _degree(n, s, DEFAULT_EXACTNESS_BOUND)
-    low, high = _log_scale_range(n, s)
-    if not low < math.log(a) < high:
-        raise InvalidScale(f"scale factor {_render_int(a)} takes n={n}, s={s} outside the double range")
-    a = float(a)  # in range now; a numpy integer would refuse the negative power below
     nodes, weights, _, _ = _laguerre_rule(_auto_node_count(degree))
-    integrand = [x**n * (x / a) ** (s - 1) for x in nodes]
-    numeric = math.fsum([w / a * f for w, f in zip(weights, integrand)])
-    reference = a ** (-s) * math.factorial(degree)
+    try:  # an overflow, or a scale that is 0.0 as a double, is out of range
+        scale = float(a)  # a numpy integer would refuse the negative power below
+        shrink = scale ** (-s)
+        integrand = [x**n * (x / scale) ** (s - 1) for x in nodes]  # largest at the largest node
+        reference = shrink * math.factorial(degree)
+        extremes = (nodes[0] / scale, nodes[-1] / scale, weights[-1] / scale, integrand[-1], shrink, reference)
+        in_range = _SAFE_LOW < min(extremes) and max(extremes) < _SAFE_HIGH
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise InvalidScale(f"scale factor {_render_int(a)} takes n={n}, s={s} outside the double range")
+    numeric = math.fsum([w / scale * f for w, f in zip(weights, integrand)])
     return abs(numeric - reference) / reference <= tol
 
 

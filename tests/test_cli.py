@@ -925,12 +925,25 @@ def test_a_closed_stdout_fails_only_a_command_that_writes_to_it(workdir):
         (["encrypt", "--s", "4", "--in", "hello.txt", "--out", "ct.txt", "--key-out", "key.mk"], EXIT_OK, ""),
         (["decrypt", "--key", "key.mk", "--in", "ct.txt", "--out", "pt.txt"], EXIT_OK, ""),
         (["recover-s", "--in", "ct.txt", "--quotients", "7,23,332,2326,23261", "--max-s", "8"], EXIT_IO, ebadf),
+        (["recover-s", "--in", "ct.txt", "--quotients", "8,23,332,2326,23261", "--max-s", "32"], EXIT_OK, ""),
         (["verify-transform", "--n-max", "2", "--s-max", "2"], EXIT_IO, ebadf),
         (["-h"], EXIT_IO, ebadf),
     ):
         result = _cold_cli(workdir, *argv, stdout=None, preexec_fn=functools.partial(os.close, 1))
         assert (result.returncode, result.stderr) == (code, err), argv
     assert (workdir / "pt.txt").read_bytes() == b"HELLO\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+def test_a_full_stdout_fails_only_a_recover_s_that_prints(workdir):
+    # as with stdout closed: a scan that finds no candidate writes nothing, so nothing fails
+    assert run_encrypt(workdir) == EXIT_OK
+    for quotients, code in (("7,23,332,2326,23261", EXIT_IO), ("8,23,332,2326,23261", EXIT_OK)):
+        with open("/dev/full", "w") as full:
+            argv = ["recover-s", "--in", "ct.txt", "--quotients", quotients, "--max-s", "32"]
+            result = _cold_cli(workdir, *argv, stdout=full)
+        assert result.returncode == code, quotients
+        assert result.stderr.startswith("mellin-cipher: i/o error:") == (code == EXIT_IO), result.stderr
 
 
 def test_a_closed_stderr_drops_diagnostics_and_keeps_stdout_for_results(workdir):

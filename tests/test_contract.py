@@ -5,7 +5,8 @@ where an int is required), within a wall bound: never an OverflowError, a
 stray ValueError or a stall. Every int argument is drawn from values that
 probe a check: 0, -1, 2**63 (past sys.maxsize), 10**5000 (past the int -> str
 digit limit), True, 1.5, Fraction(3, 2) and numpy.int64 values, plus 3 so
-that some calls get past their checks.
+that some calls get past their checks. Scales and tolerances add Fraction
+and Decimal values past the double range and the digit limit.
 
 Left out: every valid s, schedule length or max_s drawn is at most 3, and the
 next one drawn, 2**63, is past sys.maxsize, so no draw reaches 4..sys.maxsize
@@ -22,6 +23,7 @@ drive decrypt over that range instead.
 
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -42,11 +44,20 @@ class _Wide(int):
         return f"<{self.bit_length()}-bit int>"
 
 
+class _WideFraction(Fraction):
+    """A Fraction past the digit limit, printable as _Wide is."""
+
+    def __repr__(self):
+        return f"<{self.numerator.bit_length()}-bit Fraction>"
+
+
 _INTS = st.sampled_from(
     [0, -1, 3, 2**63, _Wide(10**5000), True, 1.5, Fraction(3, 2), np.int64(3), np.int64(0), np.int64(-1)]
 )
-_TOLS = st.sampled_from([1e-9, math.nan, -1.0, _Wide(-(10**5000))])
-_SCALES = _INTS | st.sampled_from([0.5, math.inf, math.nan])
+_TOLS = st.sampled_from([1e-9, math.nan, -1.0, _Wide(-(10**5000)), _WideFraction(-(10**5000))])
+_SCALES = _INTS | st.sampled_from(
+    [0.5, math.inf, math.nan, Fraction(1, 10**400), Fraction(10**400), _WideFraction(10**5000), Decimal("1e-400")]
+)
 _MAX_S = _INTS.filter(lambda value: not value > 10**4)
 _LISTS = st.lists(_INTS | st.integers(1, 26), max_size=4)
 _TEXT = st.text(alphabet=ALPHABET + "az1 \xdf", max_size=8)

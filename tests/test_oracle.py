@@ -2,8 +2,11 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mellin_cipher
@@ -13,6 +16,7 @@ from mellin_cipher.errors import (
     ExactnessBoundExceeded,
     InvalidParameter,
     InvalidScale,
+    _render_int,
 )
 from mellin_cipher.oracle import (
     DEFAULT_EXACTNESS_BOUND,
@@ -224,7 +228,9 @@ def test_scaling_check_rejects_bad_scale():
         scaling_check(-2.0, 1, 1, 1e-8)
 
 
-@pytest.mark.parametrize("a", [1e200, 1e-200, 1e300, 1e-300])
+@pytest.mark.parametrize(
+    "a", [1e200, 1e-200, 1e300, 1e-300, Fraction(1, 10**400), Fraction(10**400), Fraction(10**5000), Decimal("1e-400")]
+)
 def test_scaling_check_rejects_scale_outside_double_range(a):
     # the nodes x/a or the reference a^(-s) * (s+n-1)! would overflow or underflow
     with pytest.raises(InvalidScale):
@@ -250,6 +256,59 @@ def test_scaling_check_guard_over_every_double_scale():
                     continue
                 verdicts += 1
     assert 0 < verdicts < len(scales) * 36
+
+
+def _log_scale_range(n, s):
+    """The open interval of log(a) in which every value scaling_check forms stays within a factor e of
+    the largest double and a factor 1/epsilon above the smallest normal one. scaling_check once derived
+    it in log space; it now checks the doubles as it forms them, and this is the reference it must match.
+
+    Each such value is exp(c - k*log(a)) for a c and k of the rule and the degree: the smallest and
+    largest node x/a, the smallest weight w/a (the last one), the largest integrand value
+    (a*x)^n * x^(s-1), a^(-s) and the reference a^(-s) * (s+n-1)!. At s=1 the integrand does not
+    depend on a (k=0); its largest value, below 75^40, fits.
+    """
+    degree = s + n - 1
+    _, _, log_nodes, log_weights = oracle._laguerre_rule(oracle._auto_node_count(degree))
+    values = [
+        (log_nodes[0], 1),
+        (log_nodes[-1], 1),
+        (log_weights[-1], 1),
+        (degree * log_nodes[-1], s - 1),
+        (0.0, s),
+        (math.lgamma(degree + 1), s),
+    ]
+    low = math.log(sys.float_info.min / sys.float_info.epsilon)
+    high = math.log(sys.float_info.max) - 1
+    return max((c - high) / k for c, k in values if k), min((c - low) / k for c, k in values if k)
+
+
+def test_scaling_check_refuses_the_scales_the_log_space_range_refused():
+    # float, int and numpy scales from subnormal to past the largest double, on (n, s) pairs with
+    # every degree up to the bound; a scale within rounding of a reference bound is left out
+    floats = [10 ** (-320 + 628 * k / 249) for k in range(250)]
+    scales = floats + [10**k for k in range(0, 420, 9)] + [np.float64(a) for a in floats[::10]] + [np.int64(10**18)]
+    for n, s in [(n, s) for n in range(1, 41) for s in range(1, 42 - n)]:
+        low, high = _log_scale_range(n, s)
+        for a in scales:
+            log_a = math.log(a)
+            if min(abs(log_a - low), abs(log_a - high)) < 1e-12:
+                continue
+            try:
+                scaling_check(a, n, s, 1.0)
+            except InvalidScale as exc:
+                assert not low < log_a < high, (a, n, s)
+                assert str(exc) == f"scale factor {_render_int(a)} takes n={n}, s={s} outside the double range"
+            else:
+                assert low < log_a < high, (a, n, s)
+
+
+@pytest.mark.parametrize(
+    "check, args", [(gamma_identity_check, (1, 1)), (scaling_check, (2.0, 1, 1)), (shift_check, (1, 1, 1))]
+)
+def test_a_tolerance_past_the_digit_limit_is_named_by_its_bit_length(check, args):
+    with pytest.raises(InvalidParameter, match="tolerance must be > 0, got <16610-bit integer>"):
+        check(*args, Fraction(-(10**5000)))
 
 
 def test_package_lends_the_oracle_names():
