@@ -22,8 +22,8 @@ _TO_LETTERS = bytes.maketrans(_VALUES, ALPHABET.encode())
 
 
 def _letter_values(text: str, context: str, fold_case: bool = False) -> bytes:
-    folded = text.upper() if fold_case else text
-    if rest := folded.lstrip(ALPHABET):  # the folded text from its first non-letter on
+    folded = str.upper(text) if fold_case else text  # unbound str methods: a non-str text is a TypeError
+    if rest := str.lstrip(folded, ALPHABET):  # the folded text from its first non-letter on
         index = len(folded) - len(rest)
         if fold_case:  # upper() folds each character alone: name the one whose fold holds rest[0]
             index = next(i for i, end in enumerate(accumulate(len(c.upper()) for c in text)) if end > index)

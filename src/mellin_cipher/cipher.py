@@ -279,7 +279,7 @@ def _candidates(ciphertext: CipherText, quotients: Iterable[int], max_s: int) ->
     quotients = tuple(quotients)
     if len(ciphertext) != len(quotients):
         raise LengthMismatch(f"ciphertext has {len(ciphertext)} letters but {len(quotients)} quotients given")
-    if max_s < 1:
+    if operator.index(max_s) < 1:  # a float max_s is a TypeError
         raise InvalidParameter(f"max_s must be >= 1, got {_render_int(max_s)}")
     if not quotients:  # no letter can fail, so every s decrypts cleanly
         return range(1, max_s + 1)
@@ -288,7 +288,7 @@ def _candidates(ciphertext: CipherText, quotients: Iterable[int], max_s: int) ->
     except ValueOutOfRange:  # a negative quotient: no key holds it, so no s decrypts
         return ()
     residues, n = bytes(ciphertext.residues), len(quotients)
-    candidates = range(1, max_s + 1)  # a float max_s is a TypeError here
+    candidates = range(1, max_s + 1)
     if residues.count(MODULUS) != n:  # 26 divides e! for e >= 13: an s >= 13 makes every letter Z
         candidates = candidates[:12]
     return (s for s in candidates if _decode(s, quotients, residues)[1] == n)  # fault index n: none

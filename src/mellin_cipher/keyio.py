@@ -81,7 +81,7 @@ def read_key(data: bytes) -> CipherKey:
     once; for any other input the same lines are walked in order to raise
     the error that names the first fault.
     """
-    data = bytes(data)  # any bytes-like input
+    data = data if type(data) is bytes else bytes(memoryview(data))  # bytes-like only: an int is a TypeError
     lines = data.split(b"\n")  # magic, s=, n=, the quotient lines, then what follows the last LF
     count = len(lines) - 4
     if (
@@ -152,7 +152,7 @@ def read_ciphertext(data: bytes) -> CipherText:
     Rejects any byte outside 'A'..'Z' before the trailing LF, reporting its
     0-based offset.
     """
-    data = bytes(data)  # any bytes-like input
+    data = data if type(data) is bytes else bytes(memoryview(data))  # bytes-like only: an int is a TypeError
     if b"\r" in data:
         raise BadField(1, "CR not allowed")
     newline = data.find(b"\n")

@@ -127,7 +127,7 @@ def numeric_mellin(
     degree = _degree(n, s, LOG_SPACE_EXACTNESS_BOUND if log_space else DEFAULT_EXACTNESS_BOUND)
     minimum = (degree + 2) // 2
     node_count = _auto_node_count(degree) if nodes is None else nodes
-    if node_count < minimum:
+    if operator.index(node_count) < minimum:  # a float node count is a TypeError
         raise InvalidParameter(
             f"{_render_int(node_count)} nodes cannot integrate degree {degree} exactly (need >= {minimum})"
         )
@@ -149,7 +149,7 @@ def numeric_mellin(
 
 
 def _check_tol(tol: float) -> None:
-    if not tol > 0:  # NaN too
+    if tol != tol or not tol > 0:  # NaN too: a Decimal NaN signals on > but not on !=
         raise InvalidParameter(f"tolerance must be > 0, got {_render_int(tol)}")
 
 
@@ -175,7 +175,7 @@ def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
     as doubles, comes within a factor e of the largest double or a factor
     1/epsilon of the smallest normal one.
     """
-    if not 0 < a < math.inf:  # NaN and inf too
+    if a != a or not 0 < a < math.inf:  # NaN and inf too; != tests NaN without ordering it
         raise InvalidScale(f"scale factor must be finite and > 0, got {_render_int(a)}")
     _check_tol(tol)
     degree = _degree(n, s, DEFAULT_EXACTNESS_BOUND)

@@ -1052,7 +1052,7 @@ def test_cold_commands_skip_heavy_imports(workdir):
         "    main(['recover-s', '--in', 'ct.txt', '--quotients', '7,23,332,2326,23261', '--max-s', '8']),\n"
         "]\n"
         "heavy = ('__future__', 'dataclasses', 'inspect', 'typing', 'numpy', 'argparse', 'gettext', 'locale', 're',\n"
-        "         'shutil')\n"
+        "         'shutil', 'decimal')\n"
         "print(codes, [name for name in heavy if name in sys.modules], file=sys.stderr)\n"
     )
     result = subprocess.run(

@@ -6,7 +6,22 @@ stray ValueError or a stall. Every int argument is drawn from values that
 probe a check: 0, -1, 2**63 (past sys.maxsize), 10**5000 (past the int -> str
 digit limit), True, 1.5, Fraction(3, 2) and numpy.int64 values, plus 3 so
 that some calls get past their checks. Scales and tolerances add Fraction
-and Decimal values past the double range and the digit limit.
+and Decimal values past the double range and the digit limit, and a Decimal
+NaN. The readers also take those ints, and text takes None, an int and bytes.
+
+Each kind of argument has one reading rule, applied where it enters:
+- an int goes through operator.index before anything compares it, so a
+  float, Fraction or Decimal (a NaN too) is a TypeError;
+- a real (a scale or a tolerance) is tested for NaN by self-inequality
+  before it is ordered, as a Decimal NaN raises decimal.InvalidOperation on
+  < and > but not on !=;
+- a byte payload is an exact bytes or is read through memoryview, so an int
+  is a TypeError and never a count of zero bytes (a numpy scalar exports a
+  buffer and is read as its own bytes);
+- text is read through unbound str methods, so a non-str is a TypeError.
+Decimal("sNaN") is drawn only where an int is read: as a tolerance or scale
+it still raises decimal.InvalidOperation, since a signaling NaN exists to
+signal.
 
 Left out: every valid s, schedule length or max_s drawn is at most 3, and the
 next one drawn, 2**63, is past sys.maxsize, so no draw reaches 4..sys.maxsize
@@ -27,12 +42,13 @@ from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import mellin_cipher
 from mellin_cipher import CipherKey, CipherText
 from mellin_cipher.alphabet import ALPHABET
-from mellin_cipher.errors import CipherToolkitError
+from mellin_cipher.errors import CipherToolkitError, InvalidParameter, InvalidScale
 
 _WALL_S = 5.0
 
@@ -54,16 +70,21 @@ class _WideFraction(Fraction):
 _INTS = st.sampled_from(
     [0, -1, 3, 2**63, _Wide(10**5000), True, 1.5, Fraction(3, 2), np.int64(3), np.int64(0), np.int64(-1)]
 )
-_TOLS = st.sampled_from([1e-9, math.nan, -1.0, _Wide(-(10**5000)), _WideFraction(-(10**5000))])
+_TOLS = st.sampled_from(
+    [1e-9, math.nan, -1.0, _Wide(-(10**5000)), _WideFraction(-(10**5000)), Decimal("NaN")]
+)
 _SCALES = _INTS | st.sampled_from(
-    [0.5, math.inf, math.nan, Fraction(1, 10**400), Fraction(10**400), _WideFraction(10**5000), Decimal("1e-400")]
+    [0.5, math.inf, math.nan, Fraction(1, 10**400), Fraction(10**400), _WideFraction(10**5000), Decimal("1e-400"),
+     Decimal("NaN")]
 )
 _MAX_S = _INTS.filter(lambda value: not value > 10**4)
+# drawn for max_s and nodes after _MAX_S's filter, whose > would raise on them
+_NANS = st.sampled_from([Decimal("NaN"), Decimal("sNaN")])
 _LISTS = st.lists(_INTS | st.integers(1, 26), max_size=4)
-_TEXT = st.text(alphabet=ALPHABET + "az1 \xdf", max_size=8)
+_TEXT = st.text(alphabet=ALPHABET + "az1 \xdf", max_size=8) | st.sampled_from([None, 3, b"AB"])
 _BYTES = st.binary(max_size=12) | st.sampled_from(
     [b"JBHDN\n", b"MELLIN-KEY-V1\ns=4\nn=1\nq1=7\n", b"MELLIN-KEY-V1\ns=9223372036854775808\nn=1\nq1=0\n"]
-)
+) | _INTS  # no int from about 10**6 to 2**63, which a reader taking an int as a size would allocate
 
 
 class _Build(tuple):
@@ -93,11 +114,11 @@ _CALLS = {
     "gamma_identity_check": st.tuples(st.tuples(_INTS, _INTS, _TOLS), st.just({})),
     "numeric_mellin": st.tuples(
         st.tuples(_INTS, _INTS),
-        st.fixed_dictionaries({"nodes": st.none() | _INTS, "log_space": st.booleans()}),
+        st.fixed_dictionaries({"nodes": st.none() | _INTS | _NANS, "log_space": st.booleans()}),
     ),
     "read_ciphertext": st.tuples(st.tuples(_BYTES), st.just({})),
     "read_key": st.tuples(st.tuples(_BYTES), st.just({})),
-    "recover_s": st.tuples(st.tuples(_TEXTS | _LETTERS, _LISTS, _MAX_S), st.just({})),
+    "recover_s": st.tuples(st.tuples(_TEXTS | _LETTERS, _LISTS, _MAX_S | _NANS), st.just({})),
     "scaling_check": st.tuples(st.tuples(_SCALES, _INTS, _INTS, _TOLS), st.just({})),
     "shift_check": st.tuples(st.tuples(_SCALES, _INTS, _INTS, _TOLS), st.just({})),
     "split_mod26": st.tuples(st.tuples(_INTS), st.just({})),
@@ -122,3 +143,34 @@ def test_public_names_keep_the_input_contract(case):
     except (CipherToolkitError, TypeError):
         pass
     assert time.perf_counter() - start < _WALL_S
+
+
+_CT, _KEY = mellin_cipher.encrypt("HELLO", 4)
+
+# per reading rule, the values an argument read its own way lets escape: a Decimal NaN as a stdlib error,
+# an int as a count of zero bytes to read, an int or None as text
+_READING_RULES = {
+    "recover_s-nan-max_s": (lambda: mellin_cipher.recover_s(_CT, _KEY.quotients, Decimal("NaN")), TypeError),
+    "numeric_mellin-nan-nodes": (lambda: mellin_cipher.numeric_mellin(1, 1, nodes=Decimal("NaN")), TypeError),
+    "gamma_identity_check-nan-tol": (
+        lambda: mellin_cipher.gamma_identity_check(1, 1, Decimal("NaN")), InvalidParameter
+    ),
+    "scaling_check-nan-scale": (lambda: mellin_cipher.scaling_check(Decimal("NaN"), 1, 1, 1e-9), InvalidScale),
+    "scaling_check-nan-tol": (lambda: mellin_cipher.scaling_check(2.0, 1, 1, Decimal("NaN")), InvalidParameter),
+    "shift_check-nan-tol": (lambda: mellin_cipher.shift_check(1, 1, 1, Decimal("NaN")), InvalidParameter),
+    "read_key-2**63": (lambda: mellin_cipher.read_key(2**63), TypeError),
+    "read_ciphertext-2**63": (lambda: mellin_cipher.read_ciphertext(2**63), TypeError),
+    "read_key-10**8": (lambda: mellin_cipher.read_key(10**8), TypeError),
+    "read_ciphertext-10**8": (lambda: mellin_cipher.read_ciphertext(10**8), TypeError),
+    "encode_text-int": (lambda: mellin_cipher.encode_text(123), TypeError),
+    "encrypt-none": (lambda: mellin_cipher.encrypt(None, 4), TypeError),
+    "from_letters-int": (lambda: CipherText.from_letters(5), TypeError),
+}
+
+
+@pytest.mark.parametrize("name", _READING_RULES)
+def test_each_argument_kind_is_read_by_one_rule(name):
+    call, expected = _READING_RULES[name]
+    with pytest.raises(expected):
+        call()
+
