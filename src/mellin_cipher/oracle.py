@@ -22,6 +22,7 @@ log-factorial) and raises the bound to 300. Every check goes through
 rescaled rule.
 """
 
+import functools
 import math
 import operator
 import sys
@@ -123,6 +124,8 @@ def numeric_mellin(
     The node count defaults to one more than polynomial exactness requires;
     pass ``nodes`` (at most 152) for a larger, still exact rule. Exponents
     beyond 40, or 300 in log-space mode, raise :class:`ExactnessBoundExceeded`.
+    Pairs of equal s+n-1 share one kept result per node count and mode: at
+    most 28,780 results over the allowed domain, about 8.6 MB with all kept.
     """
     degree = _degree(n, s, LOG_SPACE_EXACTNESS_BOUND if log_space else DEFAULT_EXACTNESS_BOUND)
     minimum = (degree + 2) // 2
@@ -133,6 +136,11 @@ def numeric_mellin(
         )
     if node_count > _MAX_NODES:
         raise InvalidParameter(f"{_render_int(node_count)} nodes exceed the largest rule, {_MAX_NODES}")
+    return _integral(degree, operator.index(node_count), bool(log_space))  # a log_space of [1] keys as True
+
+
+@functools.cache
+def _integral(degree: int, node_count: int, log_space: bool) -> OracleResult:
     x, w, log_x, log_w = _laguerre_rule(node_count)
     exact = math.factorial(degree)
     if not log_space:

@@ -8,6 +8,8 @@ digit limit), True, 1.5, Fraction(3, 2) and numpy.int64 values, plus 3 so
 that some calls get past their checks. Scales and tolerances add Fraction
 and Decimal values past the double range and the digit limit, and a Decimal
 NaN. The readers also take those ints, and text takes None, an int and bytes.
+The log_space flag also takes 1, 0, "", [1] and numpy.bool_(True), each read
+by its truth value.
 
 Each kind of argument has one reading rule, applied where it enters:
 - an int goes through operator.index before anything compares it, so a
@@ -48,7 +50,7 @@ from hypothesis import given, settings, strategies as st
 import mellin_cipher
 from mellin_cipher import CipherKey, CipherText
 from mellin_cipher.alphabet import ALPHABET
-from mellin_cipher.errors import CipherToolkitError, InvalidParameter, InvalidScale
+from mellin_cipher.errors import CipherToolkitError, ExactnessBoundExceeded, InvalidParameter, InvalidScale
 
 _WALL_S = 5.0
 
@@ -80,6 +82,9 @@ _SCALES = _INTS | st.sampled_from(
 _MAX_S = _INTS.filter(lambda value: not value > 10**4)
 # drawn for max_s and nodes after _MAX_S's filter, whose > would raise on them
 _NANS = st.sampled_from([Decimal("NaN"), Decimal("sNaN")])
+# flags read by truth value; [1] is unhashable
+_FLAG_VALUES = [1, 0, "", [1], np.bool_(True)]
+_FLAGS = st.sampled_from(_FLAG_VALUES)
 _LISTS = st.lists(_INTS | st.integers(1, 26), max_size=4)
 _TEXT = st.text(alphabet=ALPHABET + "az1 \xdf", max_size=8) | st.sampled_from([None, 3, b"AB"])
 _BYTES = st.binary(max_size=12) | st.sampled_from(
@@ -114,7 +119,7 @@ _CALLS = {
     "gamma_identity_check": st.tuples(st.tuples(_INTS, _INTS, _TOLS), st.just({})),
     "numeric_mellin": st.tuples(
         st.tuples(_INTS, _INTS),
-        st.fixed_dictionaries({"nodes": st.none() | _INTS | _NANS, "log_space": st.booleans()}),
+        st.fixed_dictionaries({"nodes": st.none() | _INTS | _NANS, "log_space": st.booleans() | _FLAGS}),
     ),
     "read_ciphertext": st.tuples(st.tuples(_BYTES), st.just({})),
     "read_key": st.tuples(st.tuples(_BYTES), st.just({})),
@@ -174,3 +179,14 @@ def test_each_argument_kind_is_read_by_one_rule(name):
     with pytest.raises(expected):
         call()
 
+
+@pytest.mark.parametrize("flag", _FLAG_VALUES, ids=repr)
+def test_a_flag_reads_as_its_truth_value(flag):
+    numeric_mellin = mellin_cipher.numeric_mellin
+    for n, s in ((3, 4), (20, 21)):
+        assert numeric_mellin(n, s, log_space=flag) == numeric_mellin(n, s, log_space=bool(flag))
+    if flag:  # degree 41 is past the linear bound only
+        assert numeric_mellin(20, 22, log_space=flag) == numeric_mellin(20, 22, log_space=True)
+    else:
+        with pytest.raises(ExactnessBoundExceeded):
+            numeric_mellin(20, 22, log_space=flag)

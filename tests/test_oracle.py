@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mellin_cipher
-from mellin_cipher import oracle
+from mellin_cipher import cli, oracle
 from mellin_cipher.errors import (
     CipherToolkitError,
     ExactnessBoundExceeded,
@@ -156,6 +157,47 @@ def test_numeric_mellin_worst_error():
     assert max(numeric_mellin(1, degree).relative_error for degree in range(1, 41)) <= 1e-12
     worst_log = max(numeric_mellin(1, degree, log_space=True).relative_error for degree in range(1, 301))
     assert worst_log <= 1e-11
+
+
+def _bits(result):
+    return result.numeric.hex(), result.exact, result.relative_error.hex()
+
+
+# (degree, node count, log_space) keys the oracle's callers use: every auto-node rule in both modes, and the two
+# rules shift_check compares
+_MEMO_KEYS = (
+    [(degree, oracle._auto_node_count(degree), False) for degree in range(1, 41)]
+    + [(degree, oracle._auto_node_count(degree), True) for degree in range(1, 301)]
+    + [(degree, oracle._auto_node_count(degree) + 2, False) for degree in range(1, 41)]
+)
+
+
+def test_memoized_integral_matches_a_fresh_one():
+    # differential test against the uncached quadrature: a result kept for one (n, s) serves every pair of its degree
+    for degree, node_count, log_space in _MEMO_KEYS:
+        fresh = _bits(oracle._integral.__wrapped__(degree, node_count, log_space))
+        for n in {1, (degree + 1) // 2, degree}:
+            result = numeric_mellin(n, degree - n + 1, nodes=node_count, log_space=log_space)
+            assert _bits(result) == fresh, (n, degree, node_count, log_space)
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_pairs_of_one_degree_integrate_alike(data, log_space):
+    degree = data.draw(st.integers(1, 300 if log_space else 40))
+    n, n2 = data.draw(st.integers(1, degree)), data.draw(st.integers(1, degree))
+    assert _bits(numeric_mellin(n, degree - n + 1, log_space=log_space)) == _bits(
+        numeric_mellin(n2, degree - n2 + 1, log_space=log_space)
+    )
+
+
+def test_verify_transform_integrates_each_degree_once(capsys):
+    # the default 6 x 6 grid spans degrees 1..11; its output is the one the uncached oracle printed
+    oracle._integral.cache_clear()
+    assert cli.main(["verify-transform"]) == cli.EXIT_OK
+    assert oracle._integral.cache_info().misses == 11
+    golden = (Path(__file__).parent / "data" / "verify_transform_default.txt").read_text()
+    assert capsys.readouterr() == (golden, "verify-transform: 36/36 pass (tol 1e-09)\n")
 
 
 def test_gamma_identity_grid():
