@@ -157,7 +157,9 @@ def _factorials(s: int) -> Iterator[int]:
 
     Lazy: the first draw makes s! by one ``math.factorial``, each later draw
     is one product. A caller that stops early (a corrupted key, say) pays for
-    no factorial past the slots it drew, and one that draws none for none.
+    no factorial past the slots it drew, and one that draws none for none: an
+    s above sys.maxsize raises InvalidParameter at the first draw, so an empty
+    message still encrypts and decrypts under it.
     """
     if s > sys.maxsize:  # math.factorial cannot take it
         raise InvalidParameter(f"secret parameter s must be <= sys.maxsize, got {_render_int(s)}")
@@ -227,7 +229,10 @@ def decrypt(ciphertext: CipherText, key: CipherKey) -> str:
 
     Each coefficient quotient * 26 + residue must be its schedule factorial
     times a letter value 1..26; :class:`NotDivisible` or :class:`ValueOutOfRange`
-    names the first position (1-based) where it is not.
+    names the first position (1-based) where it is not. Above s = 10**4, a key
+    whose s! provably exceeds its first coefficient is refused by bit length
+    before any factorial is computed: the :class:`NotDivisible` names s, and
+    computes its ``divisor`` s! only when that is read.
     """
     if len(ciphertext) != len(key):
         raise LengthMismatch(f"ciphertext has {len(ciphertext)} letters but key has {len(key)} quotients")

@@ -167,7 +167,8 @@ def _write_all_or_none(outputs: list[tuple[str, bytes]]) -> None:
 
     Each payload goes to a fresh temp file beside its target, and the targets
     are replaced only after every temp file is written. A new file gets the
-    mode ``open`` would give it; an existing one keeps its mode.
+    mode ``open`` would give it; an existing one keeps its mode. A symlink is
+    replaced by a file, not written through.
     """
     temps: list[str] = []
     try:

@@ -96,7 +96,7 @@ class ExactnessBoundExceeded(CipherToolkitError):
 
 
 class InvalidScale(CipherToolkitError):
-    """Scaling factor must be strictly positive."""
+    """A scale factor that is not finite and > 0, or that leaves the double range."""
 
 
 class KeyFormatError(CipherToolkitError):

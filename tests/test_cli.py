@@ -324,6 +324,11 @@ def test_hostile_input_ends_in_a_documented_exit(command, letters, true_s, big, 
     raises past 10**4, and past 12 for recover-s, whose ciphertext keeps a letter other than Z
     and so rules out every s >= 13. An all-Z ciphertext stays out until the scan has a closed
     form: its scan grows faster than --max-s (about 2 minutes at --max-s 20000, 2-vCPU host).
+
+    The command runs in-process through cli.main. It must exit with a code from its documented
+    set and print no traceback. Exit 1 must come with one 'error:' line, last, that a hostile
+    value or an edited --quotients explains; any other exit prints one stderr line per failure
+    (verify-transform's one line is its summary or its error). Each example takes under 5 s.
     """
     values = []
 
@@ -518,6 +523,11 @@ def _argv(draw):
 @settings(max_examples=400, deadline=None)
 def test_table_parser_matches_the_argparse_parser_it_replaced(argv):
     """Differential test: the option table reads each command line as the argparse parser did.
+
+    The reference is that parser, kept as _reference_parser. The command lines are drawn from the
+    real commands and option names and their unique prefixes, with --opt value and --opt=value,
+    -h/--help, repeated options, missing values and required options, unknown words and commands,
+    negative numbers and the hostile-input gate's texts.
 
     Both give the same exit code (None when they accept) and the same values when both accept.
     Each usage error ends in one error line, the same last line as argparse's, but for a flag

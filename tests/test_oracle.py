@@ -326,8 +326,13 @@ def _log_scale_range(n, s):
 
 
 def test_scaling_check_refuses_the_scales_the_log_space_range_refused():
-    # float, int and numpy scales from subnormal to past the largest double, on (n, s) pairs with
-    # every degree up to the bound; a scale within rounding of a reference bound is left out
+    """Differential test against the log-space range (_log_scale_range) scaling_check once derived.
+
+    Over 250 log-spaced float scales from 1e-320 to 1e308, ints up to 10**414 and numpy scales, on
+    every (n, s) with s + n - 1 <= 40, the check of the doubles refuses a scale exactly when log(a)
+    is outside that range, with the same message. A scale within 1e-12 of a bound in log(a) is left
+    out as rounding.
+    """
     floats = [10 ** (-320 + 628 * k / 249) for k in range(250)]
     scales = floats + [10**k for k in range(0, 420, 9)] + [np.float64(a) for a in floats[::10]] + [np.int64(10**18)]
     for n, s in [(n, s) for n in range(1, 41) for s in range(1, 42 - n)]:
