@@ -32,7 +32,7 @@ from .errors import (
 )
 
 MODULUS = 26
-_EXACT_S = 10_000  # decrypt computes s! for an s up to this (about 4 ms) and refuses a larger one by size first
+_EXACT_S = 10_000  # decrypt computes s! for an s up to this and refuses a larger one by size first
 
 
 class _Record:
@@ -272,9 +272,9 @@ def recover_s(ciphertext: CipherText, quotients: Iterable[int], max_s: int) -> s
     the returned set when max_s reaches it; small messages may admit several
     candidates, hence a set. A letter other than Z rules out every s >= 13, so
     only an all-Z ciphertext is scanned past s = 12, up to max_s. An empty
-    message returns every s in 1..max_s, so its memory is linear in max_s
-    (70.5 MB at max_s = 10**6): the caller asked for that many values. The
-    CLI streams the same values in ascending order.
+    message returns every s in 1..max_s, so its memory is linear in max_s:
+    the caller asked for that many values. The CLI streams the same values in
+    ascending order.
     """
     return set(_candidates(ciphertext, quotients, max_s))
 

@@ -57,26 +57,22 @@ def _auto_node_count(degree: int) -> int:
 
 
 _MAX_NODES = _auto_node_count(LOG_SPACE_EXACTNESS_BOUND)  # 152, the largest rule an allowed degree needs
-_RULES: dict[int, tuple] = {}  # m: nodes, weights, log-nodes and log-weights of the m-node rule
 
 
+@functools.cache
 def _laguerre_rule(m: int) -> tuple:
-    """The m-node Gauss-Laguerre rule, built after (and from) every smaller one."""
-    for count in range(len(_RULES) + 1, m + 1):
-        _RULES[count] = _build_rule(count)
-    return _RULES[m]
-
-
-def _build_rule(m: int) -> tuple:
-    """Halley's method on the recurrence (j+1) L_{j+1} = (2j+1-x) L_j - j L_{j-1}, started from
-    Numerical Recipes' gaulag guesses (Press et al., section 4.5) up to 7 nodes and beyond from
-    a cubic extrapolation of the last four rules: of x*(4m+2), which barely moves with m, at the
-    small-end half, of x counted from the last node at the rest. The weight x / (m*L_{m-1}(x))^2
-    is formed as a log, as L_{m-1} overflows at large x."""
+    """The nodes, weights and log-weights of the m-node Gauss-Laguerre rule, by Halley's method on
+    the recurrence (j+1) L_{j+1} = (2j+1-x) L_j - j L_{j-1}, started from Numerical Recipes'
+    gaulag guesses (Press et al., section 4.5) up to 7 nodes and beyond from a cubic extrapolation
+    of the last four rules: of x*(4m+2), which barely moves with m, at the small-end half, of x
+    counted from the last node at the rest. The weight x / (m*L_{m-1}(x))^2 is formed as a log,
+    as L_{m-1} overflows at large x."""
     steps = [((2 * j + 1) / (j + 1), 1 / (j + 1), j / (j + 1)) for j in range(m)]
     guesses = []
     if m > 7:
-        prev = [_RULES[m - k][0] for k in (1, 2, 3, 4)]
+        for count in range(8, m):  # the smaller rules bottom-up, so a cold call nests one frame, not m
+            _laguerre_rule(count)
+        prev = [_laguerre_rule(m - k)[0] for k in (1, 2, 3, 4)]
         scaled = [[x * (4 * (m - k) + 2) for x in rule[: m // 2]] for k, rule in enumerate(prev, 1)]
         guesses = [(4 * u - 6 * v + 4 * w - t) / (4 * m + 2) for u, v, w, t in zip(*scaled)]
         guesses += [4 * u - 6 * v + 4 * w - t for u, v, w, t in zip(*(r[::-1] for r in prev))][m - m // 2 - 1 :: -1]
@@ -103,7 +99,7 @@ def _build_rule(m: int) -> tuple:
         z -= dz
         nodes.append(z)
         log_weights.append(math.log(z) - 2 * math.log(abs(m * low)))
-    return tuple(nodes), tuple(map(math.exp, log_weights)), tuple(map(math.log, nodes)), tuple(log_weights)
+    return tuple(nodes), tuple(map(math.exp, log_weights)), tuple(log_weights)
 
 
 def _degree(n: int, s: int, bound: int) -> int:
@@ -125,7 +121,7 @@ def numeric_mellin(
     pass ``nodes`` (at most 152) for a larger, still exact rule. Exponents
     beyond 40, or 300 in log-space mode, raise :class:`ExactnessBoundExceeded`.
     Pairs of equal s+n-1 share one kept result per node count and mode: at
-    most 28,780 results over the allowed domain, about 8.6 MB with all kept.
+    most 28,780 results over the allowed domain, from at most 152 kept rules.
     """
     degree = _degree(n, s, LOG_SPACE_EXACTNESS_BOUND if log_space else DEFAULT_EXACTNESS_BOUND)
     minimum = (degree + 2) // 2
@@ -141,11 +137,11 @@ def numeric_mellin(
 
 @functools.cache
 def _integral(degree: int, node_count: int, log_space: bool) -> OracleResult:
-    x, w, log_x, log_w = _laguerre_rule(node_count)
+    x, w, log_w = _laguerre_rule(node_count)
     exact = math.factorial(degree)
     if not log_space:
         return OracleResult.from_numeric(math.fsum(map(mul, w, map(pow, x, repeat(degree)))), exact)
-    terms = [lw + degree * lx for lw, lx in zip(log_w, log_x)]
+    terms = [lw + degree * lx for lw, lx in zip(log_w, map(math.log, x))]
     top = max(terms)  # every shifted term is in (0, 1], so a plain sum errs by at most m*epsilon
     log_numeric = top + math.log(sum([math.exp(t - top) for t in terms]))
     relative_error = abs(math.expm1(log_numeric - math.log(exact)))
@@ -186,8 +182,9 @@ def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
     if a != a or not 0 < a < math.inf:  # NaN and inf too; != tests NaN without ordering it
         raise InvalidScale(f"scale factor must be finite and > 0, got {_render_int(a)}")
     _check_tol(tol)
+    s, n = operator.index(s), operator.index(n)  # numpy ints would make the powers below numpy's, which warn
     degree = _degree(n, s, DEFAULT_EXACTNESS_BOUND)
-    nodes, weights, _, _ = _laguerre_rule(_auto_node_count(degree))
+    nodes, weights, _ = _laguerre_rule(_auto_node_count(degree))
     try:  # an overflow, or a scale that is 0.0 as a double, is out of range
         scale = float(a)  # a numpy integer would refuse the negative power below
         shrink = scale ** (-s)

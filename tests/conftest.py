@@ -1,10 +1,20 @@
 import contextlib
 import math
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
+import mellin_cipher
+
 DEFAULT_INT_MAX_STR_DIGITS = 4300
+SRC = str(Path(mellin_cipher.__file__).resolve().parents[1])
+
+
+def package_env():
+    """This environment, with the checkout's src as the PYTHONPATH of a fresh interpreter."""
+    return {**os.environ, "PYTHONPATH": SRC}
 
 
 @contextlib.contextmanager

@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import default_digit_limit, refuse_factorials_past
+from conftest import default_digit_limit, package_env, refuse_factorials_past
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mellin_cipher import cli
@@ -323,7 +323,7 @@ def test_hostile_input_ends_in_a_documented_exit(command, letters, true_s, big, 
     --option=text, so a text that starts with '-' reaches the option's own check. math.factorial
     raises past 10**4, and past 12 for recover-s, whose ciphertext keeps a letter other than Z
     and so rules out every s >= 13. An all-Z ciphertext stays out until the scan has a closed
-    form: its scan grows faster than --max-s (about 2 minutes at --max-s 20000, 2-vCPU host).
+    form: its scan grows faster than --max-s.
 
     The command runs in-process through cli.main. It must exit with a code from its documented
     set and print no traceback. Exit 1 must come with one 'error:' line, last, that a hostile
@@ -878,7 +878,7 @@ _REPORT_NUMPY = "print('numpy' in sys.modules, file=sys.stderr)\n"
 
 def _child_env():
     """The environment with this checkout's package on the path and stdout buffered as in a user's shell."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env = package_env()
     env.pop("PYTHONUNBUFFERED", None)  # a pipe or a file is then block-buffered, and flushed at the end
     return env
 
@@ -1105,12 +1105,11 @@ def test_recover_s_empty_streams_under_a_memory_limit(workdir):
         "resource.setrlimit(resource.RLIMIT_AS, (size + (64 << 20), hard))\n"
         "sys.exit(main(['recover-s', '--in', 'empty.txt', '--quotients', '', '--max-s', '3000000']))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
     with open(workdir / "out.txt", "wb") as out:
         result = subprocess.run(
             [sys.executable, "-c", code],
             cwd=workdir,
-            env={**os.environ, "PYTHONPATH": src},
+            env=package_env(),
             stdout=out,
             stderr=subprocess.PIPE,
         )

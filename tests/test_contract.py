@@ -9,7 +9,9 @@ that some calls get past their checks. Scales and tolerances add Fraction
 and Decimal values past the double range and the digit limit, and a Decimal
 NaN. The readers also take those ints, and text takes None, an int and bytes.
 The log_space flag also takes 1, 0, "", [1] and numpy.bool_(True), each read
-by its truth value.
+by its truth value. numeric_mellin also gets a valid n and s with a valid
+node count, so that the node count and the flag reach its memo key; such a
+call must not raise a TypeError.
 
 Each kind of argument has one reading rule, applied where it enters:
 - an int goes through operator.index before anything compares it, so a
@@ -45,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mellin_cipher
 from mellin_cipher import CipherKey, CipherText
@@ -92,6 +94,10 @@ _BYTES = st.binary(max_size=12) | st.sampled_from(
 ) | _INTS  # no int from about 10**6 to 2**63, which a reader taking an int as a size would allocate
 
 
+class _Readable(tuple):
+    """A call's arguments that every reading rule accepts: it may raise a CipherToolkitError, not a TypeError."""
+
+
 class _Build(tuple):
     """A record's constructor arguments: the record is built inside the timed call, so its checks count."""
 
@@ -120,7 +126,11 @@ _CALLS = {
     "numeric_mellin": st.tuples(
         st.tuples(_INTS, _INTS),
         st.fixed_dictionaries({"nodes": st.none() | _INTS | _NANS, "log_space": st.booleans() | _FLAGS}),
-    ),
+    )
+    | st.tuples(
+        st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        st.fixed_dictionaries({"nodes": st.sampled_from([None, 3, np.int64(3), 152]), "log_space": _FLAGS}),
+    ).map(_Readable),
     "read_ciphertext": st.tuples(st.tuples(_BYTES), st.just({})),
     "read_key": st.tuples(st.tuples(_BYTES), st.just({})),
     "recover_s": st.tuples(st.tuples(_TEXTS | _LETTERS, _LISTS, _MAX_S | _NANS), st.just({})),
@@ -137,16 +147,28 @@ def test_every_public_name_has_a_contract_case():
     assert sorted(_CALLS) == sorted(mellin_cipher.__all__)
 
 
+def _each_flag(test):
+    """``test`` with one numeric_mellin case per flag value at a valid n and s: every run keys the memo with each."""
+    for flag in _FLAG_VALUES:
+        test = example(("numeric_mellin", _Readable(((2, 3), {"log_space": flag}))))(test)
+    return test
+
+
 @given(st.sampled_from(sorted(_CALLS)).flatmap(lambda name: st.tuples(st.just(name), _CALLS[name])))
 @settings(max_examples=600, deadline=None)
+@_each_flag
 def test_public_names_keep_the_input_contract(case):
-    name, (args, kwargs) = case
+    name, call = case
+    args, kwargs = call
     start = time.perf_counter()
     try:
         args = [arg() if isinstance(arg, _Build) else arg for arg in args]
         getattr(mellin_cipher, name)(*args, **kwargs)
-    except (CipherToolkitError, TypeError):
+    except CipherToolkitError:
         pass
+    except TypeError:
+        if isinstance(call, _Readable):
+            raise
     assert time.perf_counter() - start < _WALL_S
 
 

@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -8,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import package_env
 from hypothesis import given, settings, strategies as st
 
 import mellin_cipher
@@ -21,6 +21,7 @@ from mellin_cipher.errors import (
 )
 from mellin_cipher.oracle import (
     DEFAULT_EXACTNESS_BOUND,
+    LOG_SPACE_EXACTNESS_BOUND,
     OracleResult,
     gamma_identity_check,
     numeric_mellin,
@@ -76,14 +77,13 @@ def test_laguerre_rule_matches_numpy():
     # differential test against the eigenvalue rule this one replaced
     laguerre = pytest.importorskip("numpy.polynomial.laguerre")
     for m in range(1, 153):
-        nodes, weights, log_nodes, log_weights = oracle._laguerre_rule(m)
+        nodes, weights, log_weights = oracle._laguerre_rule(m)
         reference_nodes, reference_weights = laguerre.laggauss(m)
-        assert len(nodes) == len(weights) == len(log_nodes) == len(log_weights) == m
+        assert len(nodes) == len(weights) == len(log_weights) == m
         assert max(abs(x - y) / y for x, y in zip(nodes, reference_nodes)) <= 1e-12, m
         assert all(
             abs(w - v) <= 1e-9 * v for w, v in zip(weights, reference_weights) if v > 1e-290
         ), m
-        assert log_nodes == tuple(map(math.log, nodes))
         assert weights == tuple(map(math.exp, log_weights))
 
 
@@ -126,7 +126,7 @@ def _newton_rules(count):
 def test_laguerre_rule_matches_newton_builder():
     # differential test against the builder the Halley steps replaced; needs no numpy
     for m, (reference_nodes, reference_log_weights) in _newton_rules(152).items():
-        nodes, _, _, log_weights = oracle._laguerre_rule(m)
+        nodes, _, log_weights = oracle._laguerre_rule(m)
         assert max(abs(x - y) / y for x, y in zip(nodes, reference_nodes)) <= 1e-12, m
         assert max(abs(w - v) for w, v in zip(log_weights, reference_log_weights)) <= 1e-11, m
 
@@ -135,7 +135,7 @@ def test_laguerre_rules_interlace_and_sum():
     # a rule that converged to a wrong or repeated root breaks interlacing or the moments
     previous = ()
     for m in range(1, 153):
-        nodes, weights, _, _ = oracle._laguerre_rule(m)
+        nodes, weights, _ = oracle._laguerre_rule(m)
         assert all(a < b < c for a, b, c in zip(nodes, previous, nodes[1:])), m
         assert abs(math.fsum(weights) - 1) <= 1e-13, m
         assert abs(math.fsum(w * x for w, x in zip(weights, nodes)) - 1) <= 1e-13, m
@@ -198,6 +198,39 @@ def test_verify_transform_integrates_each_degree_once(capsys):
     assert oracle._integral.cache_info().misses == 11
     golden = (Path(__file__).parent / "data" / "verify_transform_default.txt").read_text()
     assert capsys.readouterr() == (golden, "verify-transform: 36/36 pass (tol 1e-09)\n")
+
+
+def test_the_memo_and_the_rules_stay_within_their_bounds():
+    # every allowed (degree, node count, mode) key, through numeric_mellin: the bounds its docstring names
+    oracle._integral.cache_clear()
+    keys = 0
+    for log_space, bound in ((False, DEFAULT_EXACTNESS_BOUND), (True, LOG_SPACE_EXACTNESS_BOUND)):
+        for degree in range(1, bound + 1):
+            for node_count in range((degree + 2) // 2, oracle._MAX_NODES + 1):
+                numeric_mellin(1, degree, nodes=node_count, log_space=log_space)
+                keys += 1
+    assert keys == oracle._integral.cache_info().currsize == 28_780
+    assert oracle._laguerre_rule.cache_info().currsize == oracle._MAX_NODES
+    doc = " ".join(numeric_mellin.__doc__.split())
+    assert f"at most {keys:,} results" in doc and f"at most {oracle._MAX_NODES} kept rules" in doc
+
+
+def test_a_cold_rule_build_stays_shallow():
+    # the 152-node rule needs every smaller one; building them by recursion would nest about 145 frames
+    probe = (
+        "import sys\n"
+        "from mellin_cipher.oracle import numeric_mellin\n"
+        "def descend(headroom):\n"
+        "    if headroom > 60:\n"
+        "        return descend(headroom - 1)\n"
+        "    return numeric_mellin(150, 151, log_space=True).relative_error < 1e-9\n"
+        "frame, depth = sys._getframe(), 0\n"
+        "while frame:\n"
+        "    frame, depth = frame.f_back, depth + 1\n"
+        "print(descend(sys.getrecursionlimit() - depth))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "True\n", "")
 
 
 def test_gamma_identity_grid():
@@ -285,6 +318,18 @@ def test_scaling_check_extreme_scale_in_range(a):
     assert scaling_check(a, 1, 1, 1e-9)
 
 
+@pytest.mark.parametrize("a", [Fraction(1, 10**400), 1e-300, 2.0, 1e300])
+def test_scaling_check_reads_numpy_ints_as_ints(a):
+    # a numpy n or s would make the powers numpy's, which warn (an error in this suite) where a float raises
+    outcomes = []
+    for n, s in ((3, 3), (np.int64(3), np.int64(3))):
+        try:
+            outcomes.append(scaling_check(a, n, s, 1e-9))
+        except InvalidScale as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_scaling_check_guard_over_every_double_scale():
     # every call gives a verdict or InvalidScale, never a float error; subnormal scales included
     scales = [10 ** (-320 + 628 * k / 599) for k in range(600)]
@@ -311,12 +356,13 @@ def _log_scale_range(n, s):
     depend on a (k=0); its largest value, below 75^40, fits.
     """
     degree = s + n - 1
-    _, _, log_nodes, log_weights = oracle._laguerre_rule(oracle._auto_node_count(degree))
+    nodes, _, log_weights = oracle._laguerre_rule(oracle._auto_node_count(degree))
+    log_first, log_last = math.log(nodes[0]), math.log(nodes[-1])
     values = [
-        (log_nodes[0], 1),
-        (log_nodes[-1], 1),
+        (log_first, 1),
+        (log_last, 1),
         (log_weights[-1], 1),
-        (degree * log_nodes[-1], s - 1),
+        (degree * log_last, s - 1),
         (0.0, s),
         (math.lgamma(degree + 1), s),
     ]
@@ -367,14 +413,13 @@ def test_package_lends_the_oracle_names():
 
 def test_import_loads_numpy_alone():
     # the package has no runtime dependency; a fresh import loads no other package, the oracle included
-    src = str(Path(mellin_cipher.__file__).resolve().parents[1])
     probe = (
         "import sys; before = set(sys.modules); import mellin_cipher.oracle; "
         "print(*{m.split('.')[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": src},
+        env=package_env(),
         capture_output=True,
         text=True,
         check=True,

@@ -12,7 +12,6 @@ test_scripts.run_script; the other commands run in sh in one temporary directory
 import ast
 import io
 import math
-import os
 import re
 import shlex
 import subprocess
@@ -22,8 +21,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import refuse_factorials_past
-from test_scripts import ROOT, SRC, run_script
+from conftest import SRC, package_env, refuse_factorials_past
+from test_scripts import ROOT, run_script
 
 from mellin_cipher import cipher, cli, errors, oracle
 
@@ -92,7 +91,7 @@ def test_cli_block_runs_as_shown(tmp_path):
         result = subprocess.run(
             ["sh", "-c", re.sub(r"^mellin-cipher ", f"{python} ", command)],
             cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": SRC},
+            env=package_env(),
             capture_output=True,
             text=True,
             timeout=60,

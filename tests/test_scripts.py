@@ -1,18 +1,16 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import mellin_cipher
+from conftest import package_env
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = str(Path(mellin_cipher.__file__).resolve().parents[1])
 
 
 def run_script(name, *args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        env={**os.environ, "PYTHONPATH": SRC},
+        env=package_env(),
         capture_output=True,
         text=True,
         timeout=120,
