@@ -213,9 +213,9 @@ _NO_ROW = bytes(MODULUS + 1)  # the one row of every quotient under which no res
 def _letter_row(weight: int, quotient: int) -> bytes:
     """At index r, the letter value of ``quotient * 26 + r`` for a slot's factorial ``weight``, or 0."""
     value, excess = divmod((quotient + 1) * MODULUS, weight)
-    # r = 26 - excess makes quotient * 26 + r value times weight, each r weight lower once less;
-    # value > 26 means quotient >= weight, so then every r makes it more than 26 times
-    if not 0 < value <= MODULUS or excess >= MODULUS:
+    # r = 26 - excess makes quotient * 26 + r value times weight, each r weight lower once less; value > 26
+    # makes every r more than 26 times, and excess >= 26 (value 0 implies it) leaves no r: the no-row early return
+    if value > MODULUS or excess >= MODULUS:
         return _NO_ROW
     row = bytearray(_NO_ROW)
     for residue in range(MODULUS - excess, 0, -weight):

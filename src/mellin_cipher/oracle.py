@@ -174,10 +174,10 @@ def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
     The integrand is exp(-a*x) times a polynomial of degree s+n-1, so it is
     integrated with the Gauss-Laguerre rule rescaled to the weight exp(-a*x)
     (nodes x_k/a, weights w_k/a) and compared against a^(-s) * (s+n-1)!.
-    A scale of any real type raises :class:`InvalidScale` if a node, the
-    smallest weight, the largest integrand value, a^(-s) or the reference,
-    as doubles, comes within a factor e of the largest double or a factor
-    1/epsilon of the smallest normal one.
+    A scale of any real type raises :class:`InvalidScale` if the largest node,
+    the smallest weight (at most the smallest node), the largest integrand value,
+    a^(-s) or the reference, as doubles, comes within a factor e of the largest
+    double or a factor 1/epsilon of the smallest normal one.
     """
     if a != a or not 0 < a < math.inf:  # NaN and inf too; != tests NaN without ordering it
         raise InvalidScale(f"scale factor must be finite and > 0, got {_render_int(a)}")
@@ -190,7 +190,7 @@ def scaling_check(a: float, n: int, s: int, tol: float) -> bool:
         shrink = scale ** (-s)
         integrand = [x**n * (x / scale) ** (s - 1) for x in nodes]  # largest at the largest node
         reference = shrink * math.factorial(degree)
-        extremes = (nodes[0] / scale, nodes[-1] / scale, weights[-1] / scale, integrand[-1], shrink, reference)
+        extremes = (nodes[-1] / scale, weights[-1] / scale, integrand[-1], shrink, reference)
         in_range = _SAFE_LOW < min(extremes) and max(extremes) < _SAFE_HIGH
     except (OverflowError, ZeroDivisionError):
         in_range = False

@@ -139,6 +139,7 @@ def test_laguerre_rules_interlace_and_sum():
         assert all(a < b < c for a, b, c in zip(nodes, previous, nodes[1:])), m
         assert abs(math.fsum(weights) - 1) <= 1e-13, m
         assert abs(math.fsum(w * x for w, x in zip(weights, nodes)) - 1) <= 1e-13, m
+        assert weights[-1] <= nodes[0], m  # scaling_check's extremes rely on it: no node is below the least weight
         previous = nodes
 
 

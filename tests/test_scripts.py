@@ -1,7 +1,9 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import package_env
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +61,46 @@ def test_key_recovery_demo_tamper():
     for s, (ciphertext_edits, _, known_shifts) in rows.items():
         assert known_shifts == 100.0, s  # a quotient edit by e!/gcd(e!, 26) decrypts to the letter predicted
         assert ciphertext_edits == 0.0 or s < 5, s  # a letter edit moves c by <= 25, never a multiple of e! >= 120
+
+
+_BAD_DEMO_ARGS = [
+    ["--trials", "0"],
+    ["--trials", "-3"],
+    ["--trials", "x"],
+    ["--max-s", "0"],
+    ["--ciphertext-only", "--tamper"],
+    ["--verbose"],
+    ["--seed", "1"],
+    ["--max-len", "5"],
+]
+
+
+@pytest.mark.parametrize("args", _BAD_DEMO_ARGS, ids=" ".join)
+def test_key_recovery_demo_refuses_bad_options_as_usage_errors(args):
+    result = run_script("key_recovery_demo.py", *args)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+    (error,) = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert args[0] in error, error
+    if args[0] in ("--trials", "--max-s"):
+        assert error.endswith(f"invalid count value: {args[1]!r}"), error
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a name listed in __all__ counts as read; from __future__ imports are directives, not names
+    unused = {}
+    for path in sorted(path for top in ("src", "scripts", "tests") for path in (ROOT / top).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and "__all__" in [getattr(name, "id", None) for name in node.targets]:
+                read.update(ast.literal_eval(node.value))
+        if imported - read:
+            unused[str(path.relative_to(ROOT))] = sorted(imported - read)
+    assert not unused
