@@ -73,72 +73,71 @@ def _parse_int(text: bytes, line: int) -> int:
         raise BadField(line, f"integer has {_too_wide()}") from None
 
 
-def read_key(data: bytes) -> CipherKey:
-    """Parse key file bytes; exact inverse of :func:`write_key`.
-
-    The key is split at LF once. A key exactly as :func:`write_key` writes
-    it passes a few C-level checks, and each distinct integer text is parsed
-    once; for any other input the same lines are walked in order to raise
-    the error that names the first fault.
-    """
-    data = data if type(data) is bytes else bytes(memoryview(data))  # bytes-like only: an int is a TypeError
-    lines = data.split(b"\n")  # magic, s=, n=, the quotient lines, then what follows the last LF
-    count = len(lines) - 4
-    if (
-        count >= 0
-        and not lines[-1]
-        and lines[0] == _KEY_MAGIC
-        and lines[2] == b"n=%d" % count
-        # long enough for count lines of q<i>=0 and LF: build no line heads for a shorter file
-        and len(data) >= 4 * count + sum(count + 1 - 10**k for k in range(len(b"%d" % count)))
-    ):
-        parsed = _Memo(lambda text: _parse_int(text, 0))  # the walk below names the line
-        try:
-            s = parsed[lines[1].removeprefix(b"s=")]
-            texts = map(bytes.removeprefix, lines[3:], _layout(count)[0])  # a wrong head stays
-            quotients = tuple(map(parsed.__getitem__, texts))
-        except KeyFormatError:
-            pass
-        else:  # a line that lost its whole head (s= or q<i>=) passed as a text: it is all digits
-            if s >= 1 and not any(map(bytes.isdigit, lines)):
-                return CipherKey._from_checked(s, quotients)  # s >= 1, every text all digits
-
-    if not data:
-        raise BadMagic("empty key file")
-    if b"\r" in data:
-        raise BadField(data.count(b"\n", 0, data.index(b"\r")) + 1, "CR not allowed")
-    if not data.isascii():
-        number = next(number for number, line in enumerate(lines, 1) if not line.isascii())
-        raise BadField(number, "non-ASCII byte in key file")
-    if lines.pop():  # what follows the last LF
-        raise BadField(len(lines) + 1, "missing trailing newline")
+def _read_lines(data: bytes, lines: list[bytes]) -> CipherKey:
+    """The key in ``data``, split at LF into ``lines``, or the first line fault in file order."""
+    if lines[-1]:  # what follows the last LF
+        raise BadField(len(lines), "missing trailing newline")
     if lines[0] != _KEY_MAGIC:
         raise BadMagic(f"expected magic line {KEY_MAGIC!r}")
-    if len(lines) < 3:
-        raise BadField(len(lines) + 1, "missing s= or n= line")
+    if len(lines) < 4:
+        raise BadField(len(lines), "missing s= or n= line")
     if not lines[1].startswith(b"s="):
-        raise BadField(2, f"expected 's=<int>', got {_quote(lines[1].decode())}")
+        raise BadField(2, f"expected 's=<int>', got {_quote(lines[1].decode('latin-1'))}")
     s = _parse_int(lines[1][2:], 2)
     if s < 1:
         raise BadField(2, f"secret parameter s must be >= 1, got {s}")
     if not lines[2].startswith(b"n="):
-        raise BadField(3, f"expected 'n=<int>', got {_quote(lines[2].decode())}")
+        raise BadField(3, f"expected 'n=<int>', got {_quote(lines[2].decode('latin-1'))}")
     count = _parse_int(lines[2][2:], 3)
-    parsed = _Memo(lambda text: _parse_int(text, number))  # number: the line being read
-    for number, line in enumerate(lines[3:], start=4):
+    number = 0  # the line being read: 0 until the walk below names it
+    parsed = _Memo(lambda text: _parse_int(text, number))
+    if (
+        count == len(lines) - 4
+        # long enough for count lines of q<i>=0 and LF: build no line heads for a shorter file
+        and len(data) >= 4 * count + sum(count + 1 - 10**k for k in range(len(b"%d" % count)))
+        and not any(map(bytes.isdigit, lines))  # a line that lost its head (q<i>=) is all digits
+    ):
+        try:  # in bulk: a wrong head stays on its text, which then fails to parse
+            texts = map(bytes.removeprefix, lines[3:], _layout(count)[0])
+            return CipherKey._from_checked(s, tuple(map(parsed.__getitem__, texts)))
+        except KeyFormatError:  # the walk below names its line
+            pass
+    for number, line in enumerate(lines[3:-1], start=4):
         if number - 3 > count:
             if line.startswith(b"q"):
                 raise CountMismatch(f"declared n={count} but found more quotient lines")
-            raise TrailingGarbage(f"unexpected content at line {number}: {_quote(line.decode())}")
+            raise TrailingGarbage(f"unexpected content at line {number}: {_quote(line.decode('latin-1'))}")
         head = b"q%d=" % (number - 3)
         if not line.startswith(head):
-            raise BadField(
-                number, f"expected {head.decode()!r} prefix, got {_quote(line.decode())}"
-            )
+            raise BadField(number, f"expected {head.decode()!r} prefix, got {_quote(line.decode('latin-1'))}")
         parsed[line.removeprefix(head)]  # raises at a bad integer
-    if len(lines) - 3 == count:  # a faultless key, which the checks above accept
+    if len(lines) - 4 == count:  # a faultless key, which the checks above accept
         raise AssertionError(f"read_key refused a valid key of {count} quotients")
-    raise CountMismatch(f"declared n={count} but found {len(lines) - 3} quotient lines")
+    raise CountMismatch(f"declared n={count} but found {len(lines) - 4} quotient lines")
+
+
+def read_key(data: bytes) -> CipherKey:
+    """Parse key file bytes; exact inverse of :func:`write_key`.
+
+    Byte faults are named first (an empty file, a CR, a non-ASCII byte, no LF
+    at the end), then line faults in file order (magic, ``s=``, s >= 1, ``n=``,
+    the quotient lines); a file is scanned for byte faults only once a line
+    check fails. It is split at LF once, and each distinct integer parsed once.
+    """
+    data = data if type(data) is bytes else bytes(memoryview(data))  # bytes-like only: an int is a TypeError
+    lines = data.split(b"\n")  # magic, s=, n=, the quotient lines, then what follows the last LF
+    try:
+        return _read_lines(data, lines)
+    except KeyFormatError:
+        # a byte fault fails a line check too: a line that passes is literals and ASCII digits
+        if not data:
+            raise BadMagic("empty key file") from None
+        if b"\r" in data:
+            raise BadField(data.count(b"\n", 0, data.index(b"\r")) + 1, "CR not allowed") from None
+        if not data.isascii():
+            number = next(number for number, line in enumerate(lines, 1) if not line.isascii())
+            raise BadField(number, "non-ASCII byte in key file") from None
+        raise
 
 
 def write_ciphertext(ct: CipherText) -> bytes:

@@ -466,6 +466,48 @@ def test_read_key_matches_per_line_reader_on_mutated_keys(old, new):
         assert data == write_key(encrypt("HELLO" * 2, 4)[1])
 
 
+# _KEY with one line fault each: (old, new), the fault's type and its line (None: no line)
+_LINE_FAULTS = {
+    "bad-magic": ((b"V1", b"V2"), BadMagic, None),
+    "missing-n-line": ((b"n=2\nq1=7\nq2=23\n", b""), BadField, 3),
+    "bad-s-head": ((b"s=", b"S="), BadField, 2),
+    "s-zero": ((b"s=4", b"s=0"), BadField, 2),
+    "non-canonical-n": ((b"n=2", b"n=02"), NonCanonicalInteger, 3),
+    "wrong-q-head": ((b"q2=", b"q3="), BadField, 5),
+    "non-canonical-quotient": ((b"q1=7", b"q1=07"), NonCanonicalInteger, 4),
+    "too-few-lines": ((b"n=2", b"n=3"), CountMismatch, None),
+    "extra-q-line": ((b"q2=23\n", b"q2=23\nq3=5\n"), CountMismatch, None),
+    "trailing-garbage": ((b"q2=23\n", b"q2=23\nx\n"), TrailingGarbage, None),
+}
+
+
+def _precedence_cases():
+    """(file, (type, line, reason)): each line fault alone, then under each byte fault."""
+    yield pytest.param(b"", (BadMagic, None, "empty key file"), id="empty")
+    for name, ((old, new), kind, line) in _LINE_FAULTS.items():
+        data = _KEY.replace(old, new)
+        lines = data.split(b"\n")[:-1]
+        yield pytest.param(data, (kind, line, None), id=name)
+        yield pytest.param(data[:-1], (BadField, len(lines), "missing trailing newline"), id=f"{name}-no-lf")
+        for at in range(len(lines)):  # a byte fault in each line: before, at and after the line fault
+            for byte, reason in [(b"\r", "CR not allowed"), (b"\xb9", "non-ASCII byte in key file")]:
+                faulty = [*lines[:at], lines[at][:2] + byte + lines[at][2:], *lines[at + 1 :]]
+                case = f"{name}-{reason.split()[0]}-in-line-{at + 1}"
+                yield pytest.param(b"\n".join(faulty) + b"\n", (BadField, at + 1, reason), id=case)
+
+
+# Byte faults are named before any line fault, and line faults in file order. read_key runs the
+# line checks first and looks for byte faults only once one fails, so it must agree on each file.
+@pytest.mark.parametrize("data, expected", _precedence_cases())
+def test_read_key_names_byte_faults_before_line_faults(data, expected):
+    outcome = _outcome(read_key, data)
+    assert outcome == _outcome(_reference_read_key, data)
+    kind, line, reason = expected
+    assert outcome[0] is kind
+    assert outcome[2].get("line") == line
+    assert reason in (None, outcome[2].get("reason", outcome[1]))
+
+
 def _traced(function, *args):
     """The outcome of ``function(*args)`` and the peak of memory traced while it ran."""
     tracemalloc.start()
