@@ -73,47 +73,57 @@ def _parse_int(text: bytes, line: int) -> int:
         raise BadField(line, f"integer has {_too_wide()}") from None
 
 
-def _read_lines(data: bytes, lines: list[bytes]) -> CipherKey:
-    """The key in ``data``, split at LF into ``lines``, or the first line fault in file order."""
-    if lines[-1]:  # what follows the last LF
-        raise BadField(len(lines), "missing trailing newline")
-    if lines[0] != _KEY_MAGIC:
+_BLOCK = 1 << 16  # read_key splits and parses the quotient lines about this many bytes at a time
+
+
+def _read_lines(data: bytes) -> CipherKey:
+    """The key in ``data``, or its first line fault in file order."""
+    if data[-1:] != b"\n":  # what follows the last LF
+        raise BadField(data.count(b"\n") + 1, "missing trailing newline")
+    if not data.startswith(_KEY_MAGIC + b"\n"):
         raise BadMagic(f"expected magic line {KEY_MAGIC!r}")
-    if len(lines) < 4:
-        raise BadField(len(lines), "missing s= or n= line")
-    if not lines[1].startswith(b"s="):
-        raise BadField(2, f"expected 's=<int>', got {_quote(lines[1].decode('latin-1'))}")
-    s = _parse_int(lines[1][2:], 2)
+    start = len(_KEY_MAGIC) + 1  # where the s= line starts
+    header = data.find(b"\n", data.find(b"\n", start) + 1)  # the third LF, or the first if there are two
+    if header < start:
+        raise BadField(data.count(b"\n") + 1, "missing s= or n= line")
+    s_line, n_line = data[start:header].split(b"\n")
+    if not s_line.startswith(b"s="):
+        raise BadField(2, f"expected 's=<int>', got {_quote(s_line.decode('latin-1'))}")
+    s = _parse_int(s_line[2:], 2)
     if s < 1:
         raise BadField(2, f"secret parameter s must be >= 1, got {s}")
-    if not lines[2].startswith(b"n="):
-        raise BadField(3, f"expected 'n=<int>', got {_quote(lines[2].decode('latin-1'))}")
-    count = _parse_int(lines[2][2:], 3)
-    number = 0  # the line being read: 0 until the walk below names it
+    if not n_line.startswith(b"n="):
+        raise BadField(3, f"expected 'n=<int>', got {_quote(n_line.decode('latin-1'))}")
+    count = _parse_int(n_line[2:], 3)
+    number = 3  # the last line read
     parsed = _Memo(lambda text: _parse_int(text, number))
-    if (
-        count == len(lines) - 4
-        # long enough for count lines of q<i>=0 and LF: build no line heads for a shorter file
-        and len(data) >= 4 * count + sum(count + 1 - 10**k for k in range(len(b"%d" % count)))
-        and not any(map(bytes.isdigit, lines))  # a line that lost its head (q<i>=) is all digits
-    ):
-        try:  # in bulk: a wrong head stays on its text, which then fails to parse
-            texts = map(bytes.removeprefix, lines[3:], _layout(count)[0])
-            return CipherKey._from_checked(s, tuple(map(parsed.__getitem__, texts)))
-        except KeyFormatError:  # the walk below names its line
-            pass
-    for number, line in enumerate(lines[3:-1], start=4):
-        if number - 3 > count:
-            if line.startswith(b"q"):
-                raise CountMismatch(f"declared n={count} but found more quotient lines")
-            raise TrailingGarbage(f"unexpected content at line {number}: {_quote(line.decode('latin-1'))}")
-        head = b"q%d=" % (number - 3)
-        if not line.startswith(head):
-            raise BadField(number, f"expected {head.decode()!r} prefix, got {_quote(line.decode('latin-1'))}")
-        parsed[line.removeprefix(head)]  # raises at a bad integer
-    if len(lines) - 4 == count:  # a faultless key, which the checks above accept
-        raise AssertionError(f"read_key refused a valid key of {count} quotients")
-    raise CountMismatch(f"declared n={count} but found {len(lines) - 4} quotient lines")
+    # long enough for count lines of q<i>=0 and LF: build no line heads for a shorter file
+    bulk = len(data) >= 4 * count + sum(count + 1 - 10**k for k in range(len(b"%d" % count)))
+    heads = iter(_layout(count)[0] if bulk else ())  # one iterator, shared by the blocks
+    quotients, start = [], header + 1
+    while start < len(data):  # a block ends at the first LF at or after start + _BLOCK
+        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        lines, start = data[start : end - 1].split(b"\n"), end
+        # a line that lost its head (q<i>=) is all digits; no more lines than n are read in bulk
+        if bulk and number + len(lines) <= count + 3 and not any(map(bytes.isdigit, lines)):
+            try:  # in bulk: a wrong head stays on its text, which then fails to parse
+                quotients += tuple(map(parsed.__getitem__, map(bytes.removeprefix, lines, heads)))
+                number += len(lines)
+                continue
+            except KeyFormatError:  # the walk below names its line
+                bulk = False  # heads is now out of step with the lines
+        for number, line in enumerate(lines, number + 1):
+            if number - 3 > count:
+                if line.startswith(b"q"):
+                    raise CountMismatch(f"declared n={count} but found more quotient lines")
+                raise TrailingGarbage(f"unexpected content at line {number}: {_quote(line.decode('latin-1'))}")
+            head = b"q%d=" % (number - 3)
+            if not line.startswith(head):
+                raise BadField(number, f"expected {head.decode()!r} prefix, got {_quote(line.decode('latin-1'))}")
+            quotients.append(parsed[line.removeprefix(head)])  # raises at a bad integer
+    if number - 3 != count:
+        raise CountMismatch(f"declared n={count} but found {number - 3} quotient lines")
+    return CipherKey._from_checked(s, tuple(quotients))
 
 
 def read_key(data: bytes) -> CipherKey:
@@ -122,21 +132,22 @@ def read_key(data: bytes) -> CipherKey:
     Byte faults are named first (an empty file, a CR, a non-ASCII byte, no LF
     at the end), then line faults in file order (magic, ``s=``, s >= 1, ``n=``,
     the quotient lines); a file is scanned for byte faults only once a line
-    check fails. It is split at LF once, and each distinct integer parsed once.
+    check fails. The quotient lines are split in blocks, each ending at the
+    first LF at or after 64 KB from its start, and each distinct integer is
+    parsed once.
     """
     data = data if type(data) is bytes else bytes(memoryview(data))  # bytes-like only: an int is a TypeError
-    lines = data.split(b"\n")  # magic, s=, n=, the quotient lines, then what follows the last LF
     try:
-        return _read_lines(data, lines)
+        return _read_lines(data)
     except KeyFormatError:
         # a byte fault fails a line check too: a line that passes is literals and ASCII digits
         if not data:
             raise BadMagic("empty key file") from None
         if b"\r" in data:
             raise BadField(data.count(b"\n", 0, data.index(b"\r")) + 1, "CR not allowed") from None
-        if not data.isascii():
-            number = next(number for number, line in enumerate(lines, 1) if not line.isascii())
-            raise BadField(number, "non-ASCII byte in key file") from None
+        if not data.isascii():  # the first byte left once the ASCII bytes are deleted
+            offset = data.index(data.translate(None, bytes(range(128)))[:1])
+            raise BadField(data.count(b"\n", 0, offset) + 1, "non-ASCII byte in key file") from None
         raise
 
 

@@ -565,6 +565,85 @@ def test_read_key_peak_memory_on_a_faulty_key(fault):
     assert peak < 1.6 * len(data)
 
 
+def test_read_key_peak_memory_on_a_written_key_is_a_block_not_the_file():
+    # read_key splits about 64 KB of lines at a time: with the layout cached (write_key builds it),
+    # its peak is the quotients and one block, not a line object per line of the 16 MB file
+    text = "".join(random.Random(12).choices(ALPHABET, k=10**5))
+    key = encrypt(text, 64)[1]
+    data = write_key(key)
+    outcome, peak = _traced(read_key, data)
+    assert outcome == key
+    assert peak < 0.25 * len(data)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda data: data[:-3] + b"\xb9" + data[-2:],
+        lambda data: data[:-3] + b"\r" + data[-2:],
+        lambda data: data[:-1],
+    ],
+    ids=["non-ascii", "cr", "no-final-lf"],
+)
+def test_read_key_peak_memory_on_a_byte_fault(fault):
+    # a byte fault in the last quotient line of the 16 MB key is named without a copy of the lines
+    text = "".join(random.Random(12).choices(ALPHABET, k=10**5))
+    data = fault(write_key(encrypt(text, 64)[1]))
+    outcome, peak = _traced(read_key, data)
+    assert outcome == _outcome(_reference_read_key, data)
+    assert outcome[0] is BadField and outcome[2]["line"] == 10**5 + 3
+    assert peak < 1.6 * len(data)
+
+
+# 2,500 letters at s=64: a key of about 390 KB, which read_key reads in 6 blocks
+_LONG_KEY = write_key(encrypt("".join(random.Random(35).choices(ALPHABET, k=2500)), 64)[1])
+
+
+def _block_bounds(data):
+    """The first and last line number of each block of quotient lines that read_key splits."""
+    start = data.index(b"\n", data.index(b"\n", data.index(b"\n") + 1) + 1) + 1
+    first = 4
+    while start < len(data):
+        end = data.find(b"\n", start + keyio._BLOCK) + 1 or len(data)
+        last = first + data.count(b"\n", start, end) - 1
+        yield first, last
+        first, start = last + 1, end
+
+
+# Faults in quotient line i: the line that replaces it (None: deleted) and the declared n (None:
+# unchanged). All but the deletion keep the line's length, so the line keeps its place in its
+# block, and the header's length moves no block boundary.
+_BLOCK_FAULTS = {
+    "wrong-head": lambda line, i: (line.replace(b"q%d=" % i, b"q%d=" % (i ^ 1), 1), None),
+    "lost-head": lambda line, i: (line.replace(b"q%d=" % i, b"9" * len(b"q%d=" % i), 1), None),
+    "non-canonical": lambda line, i: (line.replace(b"=", b"=0")[:-1], None),
+    "extra-q-line": lambda line, i: (line, i - 1),
+    "missing-line": lambda line, i: (None, None),
+    "trailing-garbage": lambda line, i: (b"x" + line[1:], i - 1),
+    "non-ascii": lambda line, i: (line[:-1] + b"\xb9", None),
+    "cr": lambda line, i: (line[:-1] + b"\r", None),
+}
+
+
+# The bulk pass works block by block: a fault in the first or last line of any block, or in the
+# file's last line, must be named as the per-line reader names it, with its line in the file
+@pytest.mark.parametrize("fault", _BLOCK_FAULTS)
+def test_read_key_names_faults_at_block_boundaries(fault):
+    bounds = list(_block_bounds(_LONG_KEY))
+    assert len(bounds) >= 5 and bounds[-1][1] == 2503
+    assert read_key(_LONG_KEY) == _reference_read_key(_LONG_KEY)
+    for number in sorted({line for bound in bounds for line in bound}):
+        lines = _LONG_KEY.split(b"\n")
+        line, count = _BLOCK_FAULTS[fault](lines[number - 1], number - 3)
+        lines[number - 1 : number] = [] if line is None else [line]
+        if count is not None:
+            lines[2] = b"n=%d" % count
+        data = b"\n".join(lines)
+        outcome = _outcome(read_key, data)
+        assert outcome == _outcome(_reference_read_key, data), number
+        assert isinstance(outcome, tuple), number
+
+
 @pytest.mark.parametrize("over", [0, 1])
 @pytest.mark.parametrize("old", [b"=23261\n", b"s=4\n"], ids=["quotient", "s"])
 def test_read_key_matches_per_line_reader_at_digit_limit(digit_limit, over, old):
